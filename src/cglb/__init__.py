@@ -17,7 +17,7 @@ from .bounds import (
     quad_bounds,
     water_fill,
 )
-from .kernels import HyperParams, kernel_diag, kernel_matrix, matern32
+from .kernels import HyperParams, kernel_diag, kernel_matrix
 from .linalg import CholFactor, chol_solve, cholesky, sym_eig, tri_solve
 from .models import (
     Objective,
@@ -38,7 +38,7 @@ from .pcg import CGState, VCache, cg_solve_euclidean, pcg_solve, warm_start
 __all__ = [
     "BoundReport", "bound_report", "logdet_lower_top", "logdet_upper_amgm",
     "logdet_upper_trace", "logdet_upper_waterfill", "quad_bounds", "water_fill",
-    "HyperParams", "kernel_diag", "kernel_matrix", "matern32",
+    "HyperParams", "kernel_diag", "kernel_matrix",
     "CholFactor", "chol_solve", "cholesky", "sym_eig", "tri_solve",
     "Objective", "Prediction", "cglb_objective", "cglb_predict",
     "cglb_value_fixed_v", "elbo", "exact_lml", "exact_predict",

@@ -16,8 +16,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import yaml
-
 from . import config as config_mod
 from . import data, training
 from .errors import (
@@ -37,24 +35,6 @@ NUMERICAL_ERRORS = (
     NonFiniteObjective,
     DimensionMismatch,
 )
-
-
-def _load_config(args, default_path: str | None = None) -> config_mod.RunConfig:
-    path = getattr(args, "config", None) or default_path
-    if path is not None:
-        try:
-            with open(path) as fh:
-                payload = yaml.safe_load(fh) or {}
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-    else:
-        payload = {}
-    if not isinstance(payload, dict):
-        raise ConfigError("config document must be a mapping")
-    config_mod.apply_overrides(payload, getattr(args, "set", None) or [])
-    return config_mod.config_from_dict(payload)
 
 
 def _split(cfg: config_mod.RunConfig):
@@ -99,9 +79,11 @@ def _run_single_training(cfg: config_mod.RunConfig, out: Path) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    cfg = config_mod.load_config(args.config, args.set)
     out = Path(args.out or cfg.output_dir)
-    if args.seeds <= 1:
+    if args.seeds == 1:
         print(json.dumps(_run_single_training(cfg, out), indent=2))
         return 0
     # independent single-threaded trainings with disjoint output dirs
@@ -120,7 +102,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.model)
-    cfg = _load_config(args, default_path=str(run_dir / "config.yaml"))
+    cfg = config_mod.load_config(args.config or str(run_dir / "config.yaml"), args.set)
     model = training.load_model(str(run_dir / "model.npz"))
     _, test_set, _ = _split(cfg)
     metrics = training.evaluate(model, test_set)
@@ -132,7 +114,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare_bounds(args) -> int:
-    cfg = _load_config(args)
+    cfg = config_mod.load_config(args.config, args.set)
     train_set, _, _ = _split(cfg)
     rows = training.compare_bounds_rows(cfg, train_set)
     out = Path(args.out)
@@ -145,8 +127,11 @@ def cmd_compare_bounds(args) -> int:
 
 
 def cmd_check_gradients(args) -> int:
-    cfg = _load_config(args) if args.config else None
-    base_seed = cfg.seed if cfg is not None else 0
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    # The default config has no data source, so it is loaded only when given.
+    given = args.config or args.set
+    base_seed = config_mod.load_config(args.config, args.set).seed if given else 0
     worst: dict[str, float] = {}
     for seed in range(base_seed, base_seed + args.seeds):
         report = training.gradient_check_report(seed=seed)

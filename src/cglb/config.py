@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
+        if self.bound_draws < 1:
+            raise ConfigError("bound_draws must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError("split_fraction must be in (0, 1)")
         if self.eps_train <= 0 or self.eps_predict <= 0:
@@ -149,15 +151,20 @@ def config_from_dict(payload: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
-    try:
-        with open(path) as fh:
-            payload = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-    return config_from_dict(payload or {})
+def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
+    """Read ``path`` (no file: all defaults), apply ``a.b.c=value`` overrides, validate."""
+    payload = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                payload = yaml.safe_load(fh) or {}
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError("config document must be a mapping")
+    return config_from_dict(apply_overrides(payload, overrides or []))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

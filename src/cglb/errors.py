@@ -25,10 +25,6 @@ class BreakdownDetected(CglbError):
     """
 
 
-class DegenerateKernel(CglbError):
-    """The Nystrom residual diagonal collapsed before enough pivots were found."""
-
-
 class NonFiniteObjective(CglbError):
     """The objective or its gradient evaluated to NaN/inf during optimisation."""
 

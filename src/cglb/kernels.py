@@ -151,15 +151,6 @@ def _scaled_r(X: np.ndarray, X2: np.ndarray, params: HyperParams) -> np.ndarray:
     return cdist(X / ls, X2 / ls)
 
 
-def matern32(x, x2, params: HyperParams) -> float:
-    """Matern 3/2 covariance between two points."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    x2 = np.asarray(x2, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != x2.shape[1]:
-        raise DimensionMismatch("point dimensions differ")
-    return float(kernel_matrix(x, x2, params)[0, 0])
-
-
 def kernel_matrix(X, X2=None, params: HyperParams | None = None) -> np.ndarray:
     """Dense covariance matrix k(X, X2); symmetric when X2 is None/X."""
     return kernel_with_decay(X, X2, params)[0]
@@ -189,23 +180,15 @@ def kernel_diag(X, params: HyperParams) -> np.ndarray:
     return np.full(X.shape[0], params.variance)
 
 
-def matern32_decay(X, X2, params: HyperParams) -> np.ndarray:
-    """Shared factor sigma_f^2 * exp(-sqrt(3) r) reused by the gradient formulas."""
-    X = _check_inputs(X, params)
-    X2 = X if X2 is None else _check_inputs(X2, params)
-    return params.variance * np.exp(-SQRT3 * _scaled_r(X, X2, params))
-
-
-def lengthscale_grad(X, X2, params: HyperParams, j: int, decay=None) -> np.ndarray:
+def lengthscale_grad(X, X2, params: HyperParams, j: int, decay: np.ndarray) -> np.ndarray:
     """d k(X, X2) / d lengthscale_j (constrained space).
 
     Equals 3 sigma_f^2 exp(-sqrt(3) r) (x_j - x2_j)^2 / l_j^3, which is
-    finite and zero at coincident points.
+    finite and zero at coincident points. ``decay`` is the second factor
+    of ``kernel_with_decay(X, X2, params)``.
     """
     X = _check_inputs(X, params)
     X2 = X if X2 is None else _check_inputs(X2, params)
-    if decay is None:
-        decay = matern32_decay(X, X2, params)
     diff = X[:, j, None] - X2[None, :, j]
     lj = params.lengthscales[j]
     diff *= diff
@@ -214,34 +197,14 @@ def lengthscale_grad(X, X2, params: HyperParams, j: int, decay=None) -> np.ndarr
     return diff
 
 
-def input_grad(X, X2, params: HyperParams, decay=None) -> np.ndarray:
+def input_grad(X, X2, params: HyperParams, decay: np.ndarray) -> np.ndarray:
     """d k(X, X2) / d X, shape (n1, n2, d).
 
     Entry [i, j, l] is the derivative with respect to the l-th coordinate
     of the first argument: -3 sigma_f^2 exp(-sqrt(3) r) (x_l - x2_l) / l_l^2.
+    ``decay`` is the second factor of ``kernel_with_decay(X, X2, params)``.
     """
     X = _check_inputs(X, params)
     X2 = X if X2 is None else _check_inputs(X2, params)
-    if decay is None:
-        decay = matern32_decay(X, X2, params)
     diff = X[:, None, :] - X2[None, :, :]
     return -3.0 * decay[:, :, None] * diff / params.lengthscales**2
-
-
-def param_gradients(X, X2, params: HyperParams) -> np.ndarray:
-    """Partials of every kernel matrix entry w.r.t. each unconstrained parameter.
-
-    Returns an array of shape (n_params, n1, n2) following the
-    ``to_vector`` layout. The noise and mean slices are zero: neither
-    enters the kernel itself.
-    """
-    X = _check_inputs(X, params)
-    X2 = X if X2 is None else _check_inputs(X2, params)
-    k = kernel_matrix(X, X2, params)
-    decay = matern32_decay(X, X2, params)
-    jac = params.transform_jacobian()
-    out = np.zeros((params.n_params,) + k.shape)
-    out[0] = k / params.variance * jac[0]
-    for j in range(params.ndim):
-        out[1 + j] = lengthscale_grad(X, X2, params, j, decay=decay) * jac[1 + j]
-    return out

@@ -17,14 +17,13 @@ is the exact gradient of the objective being maximised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from . import kernels, linalg, nystrom
 from .errors import DimensionMismatch
 from .kernels import HyperParams
-from .nystrom import NystromFactor
+from .nystrom import SparseParts
 from .pcg import CGState, VCache, cg_solve_euclidean, pcg_solve, warm_start
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -136,39 +135,28 @@ def exact_predict(params: HyperParams, X, y, Xs) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SparseParts:
-    kuu: np.ndarray  # m x m, without jitter
-    luu: linalg.CholFactor
-    kuf: np.ndarray  # m x n
-    factor: NystromFactor
-    decay_zz: np.ndarray  # gradient prefactor for the K_uu block
-    decay_zx: np.ndarray  # gradient prefactor for the K_uf block
+# Called through this module attribute so perfbench/tracer.py can time block construction.
+_sparse_parts = nystrom.sparse_parts
 
 
-def _sparse_parts(params: HyperParams, X, Z) -> _SparseParts:
-    kuu, decay_zz = kernels.kernel_with_decay(Z, Z, params)
-    luu = linalg.cholesky(kuu)
-    kuf, decay_zx = kernels.kernel_with_decay(Z, X, params)
-    a = linalg.tri_solve(luu, kuf)
-    factor = nystrom.from_half_factor(
-        a, params.noise, float(np.sum(kernels.kernel_diag(X, params)))
-    )
-    return _SparseParts(kuu=kuu, luu=luu, kuf=kuf, factor=factor,
-                        decay_zz=decay_zz, decay_zx=decay_zx)
+def _sparse_inputs(params: HyperParams, Z, X, y):
+    """Validated (X, y, Z) and their sparse blocks."""
+    X, y = _validate_xy(X, y, params)
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    return X, y, Z, _sparse_parts(params, X, Z)
 
 
 def _assemble_sparse_grad(
     params: HyperParams,
     X: np.ndarray,
     Z: np.ndarray,
-    parts: _SparseParts,
+    parts: SparseParts,
     g_uf: np.ndarray,
     g_uu: np.ndarray,
     g_diag: float,
     s_sigma2: float,
     s_mu0: float,
-    ff_pairs: Iterable[tuple[np.ndarray, np.ndarray, float]] = (),
+    ff_pair: tuple[np.ndarray, np.ndarray] | None = None,
     kff: np.ndarray | None = None,
     decay_ff: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -176,41 +164,32 @@ def _assemble_sparse_grad(
 
     ``g_uf``/``g_uu`` weight entrywise perturbations of K_uf and K_uu,
     ``g_diag`` each entry of diag(K_ff), ``s_sigma2``/``s_mu0`` the
-    direct noise/mean paths. ``ff_pairs`` adds coef * w1.T dK_ff w2
-    contributions for objectives that touch K_ff densely (requires
-    ``kff`` and ``decay_ff``).
+    direct noise/mean paths. ``ff_pair = (left, right)`` adds the
+    left.T dK_ff right contribution of objectives that touch K_ff
+    densely (requires ``kff`` and ``decay_ff``).
     """
-    ff_pairs = list(ff_pairs)
     n = X.shape[0]
     jac = params.transform_jacobian()
     d = params.ndim
     sf2 = params.variance
     decay_zx = parts.decay_zx
     decay_zz = parts.decay_zz
-    # coef * w1.T D w2 summed over pairs sharing the right factor costs
-    # one matvec per derivative matrix: fold the pairs by right vector.
-    folded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for w1, w2, coef in ff_pairs:
-        left, right = folded.get(id(w2), (np.zeros(n), w2))
-        folded[id(w2)] = (left + coef * w1, right)
-    ff_sides = list(folded.values())
-
-    def ff_contract(dense: np.ndarray) -> float:
-        return sum(float(left @ (dense @ right)) for left, right in ff_sides)
+    if ff_pair is not None:
+        left, right = ff_pair
 
     grad = np.zeros(params.n_params)
     acc = (float(np.sum(g_uf * parts.kuf)) + float(np.sum(g_uu * parts.kuu))) / sf2
     acc += g_diag * n
-    if ff_sides:
-        acc += ff_contract(kff) / sf2
+    if ff_pair is not None:
+        acc += float(left @ (kff @ right)) / sf2
     grad[0] = acc * jac[0]
     for j in range(d):
         duf = kernels.lengthscale_grad(Z, X, params, j, decay=decay_zx)
         duu = kernels.lengthscale_grad(Z, Z, params, j, decay=decay_zz)
         acc = float(np.sum(g_uf * duf)) + float(np.sum(g_uu * duu))
-        if ff_sides:
+        if ff_pair is not None:
             dff = kernels.lengthscale_grad(X, X, params, j, decay=decay_ff)
-            acc += ff_contract(dff)
+            acc += float(left @ (dff @ right))
         grad[1 + j] = acc * jac[1 + j]
     grad[1 + d] = s_sigma2 * jac[1 + d]
     grad[2 + d] = s_mu0
@@ -221,10 +200,43 @@ def _assemble_sparse_grad(
     return np.concatenate([grad, grad_z.ravel()])
 
 
-def _kuu_inv_kuf(parts: _SparseParts) -> np.ndarray:
-    """C = K_uu^{-1} K_uf via the cached Cholesky."""
-    a = linalg.tri_solve(parts.luu, parts.kuf)
-    return linalg.tri_solve(parts.luu, a, transposed=True)
+def _qhat_sensitivities(parts: SparseParts, w: np.ndarray, phi: float
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(g_uf, g_uu, g_diag) of the terms that depend on K through Qhat.
+
+    The quadratic and log|Qhat| terms give the sensitivity to Qhat
+    G = (w w^T - Qhat^{-1})/2 with w = Qhat^{-1} times the residual;
+    products with G are taken lazily through C = K_uu^{-1} K_uf. The
+    trace term -Tr(K_ff - Q_ff)/(2 sigma^2) enters with weight ``phi``
+    (1 for the ELBO, the AM-GM slope for CGLB), and not at all while the
+    residual trace is clamped at zero.
+    """
+    f = parts.factor
+    sigma2 = f.sigma2
+    c = linalg.tri_solve(parts.luu, f.a, transposed=True)
+    cw = c @ w
+    c_qinv = nystrom.solve_q(f, c.T).T
+    cg = 0.5 * np.outer(cw, w) - 0.5 * c_qinv
+    active = phi if f.trace_kff - f.trace_qff > 0.0 else 0.0
+    g_uf = 2.0 * cg + active * c / sigma2
+    g_uu = -cg @ c.T - active * (c @ c.T) / (2.0 * sigma2)
+    g_diag = -active / (2.0 * sigma2)
+    return g_uf, g_uu, g_diag
+
+
+def _sparse_predict(params: HyperParams, parts: SparseParts, Z, Xs, resid: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(k_u(x).T K_uu^{-1} K_uf Qhat^{-1} resid, clamped SGPR latent variance).
+
+    SGPR and CGLB share this routine, so their variances agree bit for
+    bit at identical (theta, Z).
+    """
+    weights = linalg.chol_solve(parts.luu, parts.kuf @ nystrom.solve_q(parts.factor, resid))
+    kus = kernels.kernel_matrix(Z, Xs, params)
+    w1 = linalg.tri_solve(parts.luu, kus)
+    w2 = linalg.tri_solve(parts.factor.b_chol, w1)
+    var = kernels.kernel_diag(Xs, params) - np.sum(w1**2, axis=0) + np.sum(w2**2, axis=0)
+    return kus.T @ weights, np.clip(var, VARIANCE_CLAMP, None)
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +246,18 @@ def _kuu_inv_kuf(parts: _SparseParts) -> np.ndarray:
 
 def elbo(params: HyperParams, Z, X, y) -> Objective:
     """Evidence lower bound and its gradient over theta and Z."""
-    X, y = _validate_xy(X, y, params)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     n = y.size
-    parts = _sparse_parts(params, X, Z)
     f = parts.factor
     sigma2 = params.noise
     yc = y - params.mean
     beta = nystrom.solve_q(f, yc)
     quad = float(yc @ beta)
-    t_raw = f.trace_kff - f.trace_qff
-    t = max(t_raw, 0.0)
+    t = f.trace_residual()
     logdet = nystrom.logdet_q(f)
     value = -0.5 * n * LOG_2PI - 0.5 * quad - 0.5 * (logdet + t / sigma2)
 
-    # Sensitivity to Qhat from the quad and logdet terms: G = (beta beta^T - Qhat^{-1})/2.
-    # Products with G are taken lazily through C = K_uu^{-1} K_uf.
-    c = _kuu_inv_kuf(parts)
-    cbeta = c @ beta
-    c_qinv = nystrom.solve_q(f, c.T).T
-    cg = 0.5 * np.outer(cbeta, beta) - 0.5 * c_qinv
-    active = 1.0 if t_raw > 0.0 else 0.0
-    g_uf = 2.0 * cg + active * c / sigma2
-    g_uu = -cg @ c.T - active * (c @ c.T) / (2.0 * sigma2)
-    g_diag = -active / (2.0 * sigma2)
+    g_uf, g_uu, g_diag = _qhat_sensitivities(parts, beta, 1.0)
     s_sigma2 = (
         0.5 * float(beta @ beta)
         - 0.5 * nystrom.trace_qinv(f)
@@ -276,24 +276,10 @@ def elbo(params: HyperParams, Z, X, y) -> Objective:
 
 def sgpr_predict(params: HyperParams, Z, X, y, Xs) -> Prediction:
     """Variational posterior mean and marginal variance."""
-    X, y = _validate_xy(X, y, params)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    parts = _sparse_parts(params, X, Z)
-    yc = y - params.mean
-    weights = linalg.chol_solve(parts.luu, parts.kuf @ nystrom.solve_q(parts.factor, yc))
-    kus = kernels.kernel_matrix(Z, Xs, params)
-    mean = kus.T @ weights + params.mean
-    var = _sparse_variance(parts, params, Z, Xs)
-    return Prediction(mean=mean, var=var, noise_variance=params.noise)
-
-
-def _sparse_variance(parts: _SparseParts, params: HyperParams, Z, Xs) -> np.ndarray:
-    kus = kernels.kernel_matrix(Z, Xs, params)
-    w1 = linalg.tri_solve(parts.luu, kus)
-    w2 = linalg.tri_solve(parts.factor.b_chol, w1)
-    var = kernels.kernel_diag(Xs, params) - np.sum(w1**2, axis=0) + np.sum(w2**2, axis=0)
-    return np.clip(var, VARIANCE_CLAMP, None)
+    sparse_mean, var = _sparse_predict(params, parts, Z, Xs, y - params.mean)
+    return Prediction(mean=sparse_mean + params.mean, var=var, noise_variance=params.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +288,7 @@ def _sparse_variance(parts: _SparseParts, params: HyperParams, Z, Xs) -> np.ndar
 
 
 def _cglb_terms(
-    params: HyperParams, parts: _SparseParts, yc: np.ndarray, v: np.ndarray,
+    params: HyperParams, parts: SparseParts, yc: np.ndarray, v: np.ndarray,
     r: np.ndarray, gap: float
 ) -> tuple[float, float, float]:
     """(value, quad_upper, logdet_amgm) for fixed v with residual r."""
@@ -316,16 +302,32 @@ def _cglb_terms(
     return value, quad_upper, logdet
 
 
+def _solve_v(parts: SparseParts, kff: np.ndarray, yc: np.ndarray,
+             cache: VCache | None, eps: float, max_iters: int | None) -> CGState:
+    """Qhat-preconditioned CG for Khat v = yc, warm-started from and stored to ``cache``."""
+    if cache is None:
+        cache = VCache()
+    sigma2 = parts.factor.sigma2
+    state = pcg_solve(
+        matvec=lambda p: kff @ p + sigma2 * p,
+        precond=lambda rr: nystrom.solve_q(parts.factor, rr),
+        y=yc,
+        v0=warm_start(cache, yc.size),
+        eps=eps,
+        max_iters=max_iters,
+    )
+    cache.store(state.v)
+    return state
+
+
 def cglb_value_fixed_v(params: HyperParams, Z, X, y, v) -> float:
     """The bound evaluated at a frozen candidate v (no CG run).
 
     This is the function whose gradient ``cglb_objective`` returns; the
     finite-difference oracle in the test suite differentiates it.
     """
-    X, y = _validate_xy(X, y, params)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     v = np.asarray(v, dtype=np.float64)
-    parts = _sparse_parts(params, X, Z)
     kff = kernels.kernel_matrix(X, None, params)
     yc = y - params.mean
     r = yc - (kff @ v + params.noise * v)
@@ -349,52 +351,31 @@ def cglb_objective(
     diagnostics record the CG iteration count consumed by this
     evaluation, the final quadratic-bound gap, and the bound components.
     """
-    X, y = _validate_xy(X, y, params)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     n = y.size
-    if cache is None:
-        cache = VCache()
-    parts = _sparse_parts(params, X, Z)
     f = parts.factor
     sigma2 = params.noise
     yc = y - params.mean
     kff, decay_ff = kernels.kernel_with_decay(X, None, params)
-
-    state = pcg_solve(
-        matvec=lambda p: kff @ p + sigma2 * p,
-        precond=lambda rr: nystrom.solve_q(f, rr),
-        y=yc,
-        v0=warm_start(cache, n),
-        eps=eps,
-        max_iters=max_iters,
-    )
-    fingerprint = hash((params.to_vector().tobytes(), Z.tobytes()))
-    cache.store(state.v, fingerprint)
+    state = _solve_v(parts, kff, yc, cache, eps, max_iters)
     v, r, u, gap = state.v, state.r, state.z, state.gap
 
     value, quad_upper, logdet = _cglb_terms(params, parts, yc, v, r, gap)
 
-    # Qhat-path sensitivity: G = (u u^T - Qhat^{-1})/2 with u = Qhat^{-1} r.
-    c = _kuu_inv_kuf(parts)
-    cu = c @ u
-    c_qinv = nystrom.solve_q(f, c.T).T
-    cg = 0.5 * np.outer(cu, u) - 0.5 * c_qinv
-    t_raw = f.trace_kff - f.trace_qff
-    t = max(t_raw, 0.0)
+    # The AM-GM log-det correction weights the trace term by phi; u = Qhat^{-1} r.
+    t = f.trace_residual()
     phi = 1.0 / (1.0 + t / (n * sigma2))
-    active = phi if t_raw > 0.0 else 0.0
-    g_uf = 2.0 * cg + active * c / sigma2
-    g_uu = -cg @ c.T - active * (c @ c.T) / (2.0 * sigma2)
-    g_diag = -active / (2.0 * sigma2)
+    g_uf, g_uu, g_diag = _qhat_sensitivities(parts, u, phi)
     s_sigma2 = (
         float(u @ v) + 0.5 * float(v @ v)  # direct Khat path through r and v.T Khat v
         + 0.5 * float(u @ u) - 0.5 * nystrom.trace_qinv(f)
         + phi * t / (2.0 * sigma2**2)
     )
     s_mu0 = float(np.sum(u)) + float(np.sum(v))
+    # u.T dK v from the residual plus 0.5 v.T dK v from the lower quadratic bound.
     grad = _assemble_sparse_grad(
         params, X, Z, parts, g_uf, g_uu, g_diag, s_sigma2, s_mu0,
-        ff_pairs=[(u, v, 1.0), (v, v, 0.5)], kff=kff, decay_ff=decay_ff,
+        ff_pair=(u + 0.5 * v, v), kff=kff, decay_ff=decay_ff,
     )
     return Objective(
         value=value,
@@ -417,21 +398,17 @@ def cglb_predict(params: HyperParams, Z, X, y, v, Xs) -> Prediction:
     The variance is computed by the same routine as ``sgpr_predict``,
     so the two agree bit for bit at identical (theta, Z).
     """
-    X, y = _validate_xy(X, y, params)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     v = np.asarray(v, dtype=np.float64)
     if v.shape != y.shape:
         raise DimensionMismatch("v must match y in length")
-    parts = _sparse_parts(params, X, Z)
     yc = y - params.mean
     kff = kernels.kernel_matrix(X, None, params)
     r = yc - (kff @ v + params.noise * v)
-    weights = linalg.chol_solve(parts.luu, parts.kuf @ nystrom.solve_q(parts.factor, r))
+    sparse_mean, var = _sparse_predict(params, parts, Z, Xs, r)
     ks = kernels.kernel_matrix(X, Xs, params)
-    kus = kernels.kernel_matrix(Z, Xs, params)
-    mean = ks.T @ v + kus.T @ weights + params.mean
-    var = _sparse_variance(parts, params, Z, Xs)
+    mean = ks.T @ v + sparse_mean + params.mean
     return Prediction(mean=mean, var=var, noise_variance=params.noise)
 
 
@@ -440,23 +417,9 @@ def cglb_prediction_vector(
     eps: float = 1e-3, max_iters: int | None = None,
 ) -> CGState:
     """Solve for the v used at prediction time (tighter eps than training)."""
-    X, y = _validate_xy(X, y, params)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if cache is None:
-        cache = VCache()
-    parts = _sparse_parts(params, X, Z)
+    X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     kff = kernels.kernel_matrix(X, None, params)
-    sigma2 = params.noise
-    state = pcg_solve(
-        matvec=lambda p: kff @ p + sigma2 * p,
-        precond=lambda rr: nystrom.solve_q(parts.factor, rr),
-        y=y - params.mean,
-        v0=warm_start(cache, y.size),
-        eps=eps,
-        max_iters=max_iters,
-    )
-    cache.store(state.v)
-    return state
+    return _solve_v(parts, kff, y - params.mean, cache, eps, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +452,7 @@ def iterative_lml_and_grad(
     X, y = _validate_xy(X, y, params)
     n = y.size
     sigma2 = params.noise
-    kff = kernels.kernel_matrix(X, None, params)
+    kff, decay = kernels.kernel_with_decay(X, None, params)
     matvec = lambda p: kff @ p + sigma2 * p  # noqa: E731
     yc = y - params.mean
 
@@ -506,7 +469,6 @@ def iterative_lml_and_grad(
     jac = params.transform_jacobian()
     d = params.ndim
     grad = np.zeros(params.n_params)
-    decay = kernels.matern32_decay(X, X, params)
 
     def trace_est(dk: np.ndarray) -> float:
         # mean over probes of s_i.T dK p_i, s_i ~ Khat^{-1} p_i

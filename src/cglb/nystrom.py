@@ -44,17 +44,36 @@ class NystromFactor:
         return max(self.trace_kff - self.trace_qff, 0.0)
 
 
+@dataclass(frozen=True)
+class SparseParts:
+    """The kernel blocks behind a Nystrom factor, kept for gradients and prediction."""
+
+    kuu: np.ndarray  # m x m, without jitter
+    luu: linalg.CholFactor
+    kuf: np.ndarray  # m x n
+    factor: NystromFactor  # its half-factor is L_uu^{-1} K_uf
+    decay_zz: np.ndarray  # gradient prefactor for the K_uu block
+    decay_zx: np.ndarray  # gradient prefactor for the K_uf block
+
+
+def sparse_parts(params: HyperParams, X: np.ndarray, Z: np.ndarray) -> SparseParts:
+    """K_uu -> L_uu -> K_uf -> A = L_uu^{-1} K_uf -> factor, for 2-D X and Z."""
+    kuu, decay_zz = kernels.kernel_with_decay(Z, Z, params)
+    luu = linalg.cholesky(kuu)
+    kuf, decay_zx = kernels.kernel_with_decay(Z, X, params)
+    a = linalg.tri_solve(luu, kuf)
+    factor = from_half_factor(a, params.noise, float(np.sum(kernels.kernel_diag(X, params))))
+    return SparseParts(kuu=kuu, luu=luu, kuf=kuf, factor=factor,
+                       decay_zz=decay_zz, decay_zx=decay_zx)
+
+
 def build(X: np.ndarray, Z: np.ndarray, params: HyperParams) -> NystromFactor:
     """Assemble the factor for inducing locations Z over training inputs X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if X.shape[1] != Z.shape[1]:
         raise DimensionMismatch("X and Z have different input dimension")
-    kuu = kernels.kernel_matrix(Z, Z, params)
-    luu = linalg.cholesky(kuu)
-    kuf = kernels.kernel_matrix(Z, X, params)
-    a = linalg.tri_solve(luu, kuf)
-    return from_half_factor(a, params.noise, float(np.sum(kernels.kernel_diag(X, params))))
+    return sparse_parts(params, X, Z).factor
 
 
 def from_half_factor(a: np.ndarray, sigma2: float, trace_kff: float) -> NystromFactor:

@@ -37,17 +37,14 @@ class CGState:
 class VCache:
     """Solution vector carried across objective evaluations.
 
-    Single-writer: exactly one training loop owns an instance. The
-    fingerprint is diagnostic only; reuse is unconditional as long as
-    the problem size matches.
+    Single-writer: exactly one training loop owns an instance. Reuse is
+    unconditional as long as the problem size matches.
     """
 
     last_v: np.ndarray | None = None
-    last_fingerprint: int | None = None
 
-    def store(self, v: np.ndarray, fingerprint: int | None = None) -> None:
+    def store(self, v: np.ndarray) -> None:
         self.last_v = np.asarray(v, dtype=np.float64).copy()
-        self.last_fingerprint = fingerprint
 
 
 def warm_start(cache: VCache, n: int) -> np.ndarray:

@@ -290,33 +290,19 @@ def gradient_check_report(seed: int = 0, n: int = 25, d: int = 2, m: int = 5,
 
     cache = VCache()
     base = models.cglb_objective(params, Z, X, y, cache, eps=1e-12, max_iters=n)
-    v_frozen = cache.last_v.copy()
+    v_frozen = cache.last_v
 
     def f_cglb(vec):
+        # the frozen-v value, against the objective's gradient at the base point
         p, Zv = models.unpack_params(params, vec, m=m)
-        value = models.cglb_value_fixed_v(p, Zv, X, y, v_frozen)
-        grad = None  # gradient only needed at the base point
-        return value, grad
+        return models.cglb_value_fixed_v(p, Zv, X, y, v_frozen), base.grad
 
-    errors = {
+    return {
         "exact": optimizer.check_grad(f_exact, models.pack_params(params), h=h, seed=seed),
         "elbo": optimizer.check_grad(f_elbo, models.pack_params(params, Z), h=h, seed=seed),
+        "cglb": optimizer.check_grad(f_cglb, models.pack_params(params, Z), h=h,
+                                     seed=seed + 1),
     }
-    # CGLB: central differences of the frozen-v value against the
-    # objective's gradient, along random directions.
-    vec0 = models.pack_params(params, Z)
-    rng2 = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(10):
-        direction = rng2.standard_normal(vec0.size)
-        direction /= np.linalg.norm(direction)
-        fp, _ = f_cglb(vec0 + h * direction)
-        fm, _ = f_cglb(vec0 - h * direction)
-        fd = (fp - fm) / (2.0 * h)
-        slope = float(base.grad @ direction)
-        worst = max(worst, abs(fd - slope) / max(abs(slope), abs(fd), 1e-12))
-    errors["cglb"] = worst
-    return errors
 
 
 def save_model(model: TrainedModel, path: str) -> None:

@@ -9,6 +9,7 @@ deterministic.
 import time
 
 import numpy as np
+import pytest
 
 from cglb import bounds, config, data, kernels, models, nystrom, training
 from cglb.data import Dataset, StandardStats
@@ -118,6 +119,7 @@ def test_criterion_4_cg_exactness():
               f"(worst relative error {worst:.2e} over 50 systems up to n=200)")
 
 
+@pytest.mark.slow
 def test_criterion_5_warm_start_trend():
     start = time.time()
     wins = 0
@@ -193,6 +195,7 @@ def _train_on_full_draw(kind: str, seed: int, noise_var: float):
     return model.params.noise, lml
 
 
+@pytest.mark.slow
 def test_criterion_8_hyperparameter_quality_trend():
     start = time.time()
     true_noise = 0.05
@@ -228,7 +231,7 @@ def test_criterion_9_hutchinson_statistics():
             solves[i] = cg_solve_euclidean(matvec, p_mat[i], tol=1e-10,
                                            max_iters=200).v
         khat_inv = np.linalg.inv(inst.khat)
-        decay = kernels.matern32_decay(inst.X, inst.X, inst.params)
+        decay = kernels.kernel_with_decay(inst.X, inst.X, inst.params)[1]
         derivs = [inst.kff / inst.params.variance, np.eye(50)]
         derivs += [kernels.lengthscale_grad(inst.X, inst.X, inst.params, j,
                                             decay=decay.copy())

@@ -59,6 +59,11 @@ class TestConfig:
         again = config.load_config(str(path))
         assert config.config_to_dict(cfg) == config.config_to_dict(again)
 
+    @pytest.mark.parametrize("draws", [0, -2])
+    def test_bound_draws_must_be_positive(self, draws):
+        with pytest.raises(ConfigError, match="bound_draws"):
+            config.config_from_dict({"bound_draws": draws, "data": {"synthetic": {}}})
+
     def test_overrides(self):
         payload = {"data": {"synthetic": {}}}
         config.apply_overrides(payload, ["m=4", "optimizer.max_steps=9",
@@ -221,6 +226,32 @@ class TestCliCommands:
         assert cli.main(["check-gradients", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
         assert "exact" in out and "elbo" in out and "cglb" in out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--seeds", "0"]),
+        ("check-gradients", ["--seeds", "0"]),
+        ("check-gradients", ["--set", "seed=notanumber"]),
+        ("compare-bounds", ["--set", "bound_draws=0"]),
+    ])
+    def test_rejected_arguments_exit_2(self, tmp_path, command, extra):
+        argv = [command, *extra]
+        if command != "check-gradients":
+            argv += ["--config", write_config(tmp_path, SINE_CFG),
+                     "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_check_gradients_applies_set_without_config(self, monkeypatch):
+        seeds = []
+
+        def report(seed):
+            seeds.append(seed)
+            return {"exact": 0.0}
+
+        monkeypatch.setattr(training, "gradient_check_report", report)
+        assert cli.main(["check-gradients", "--seeds", "2", "--set", "seed=4",
+                         "--set", "data.synthetic={}"]) == 0
+        assert seeds == [4, 5]
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path, SINE_CFG)

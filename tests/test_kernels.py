@@ -48,28 +48,35 @@ class TestTransform:
         np.testing.assert_array_equal(p.to_vector(), q.to_vector())
 
 
+def k_point(x, x2, p) -> float:
+    """The Matern 3/2 covariance of two points, via one-row kernel matrices."""
+    return float(kernels.kernel_matrix(np.atleast_2d(x), np.atleast_2d(x2), p)[0, 0])
+
+
 class TestMatern32:
     def test_zero_distance(self):
         p = HyperParams.from_constrained(1.9, 0.7, 1.0, 0.0, ndim=1)
-        assert kernels.matern32([0.4], [0.4], p) == p.variance
+        assert k_point([0.4], [0.4], p) == p.variance
 
     def test_unit_distance_closed_form(self):
         p = HyperParams.from_constrained(1.0, 1.0, 1.0, 0.0, ndim=1)
         expected = (1.0 + SQRT3) * np.exp(-SQRT3)  # 0.48335772...
-        assert abs(kernels.matern32([0.0], [1.0], p) - expected) < 1e-12
+        assert abs(k_point([0.0], [1.0], p) - expected) < 1e-12
         assert abs(expected - 0.48335772) < 1e-8
 
     def test_monotone_decay_to_zero(self):
         p = HyperParams.from_constrained(1.0, 1.0, 1.0, 0.0, ndim=1)
         dists = np.linspace(0.0, 40.0, 200)
-        vals = np.array([kernels.matern32([0.0], [t], p) for t in dists])
+        vals = np.array([k_point([0.0], [t], p) for t in dists])
         assert np.all(np.diff(vals) < 0)
         assert vals[-1] < 1e-12
 
     def test_dimension_mismatch(self):
         p = HyperParams.from_constrained(1.0, [1.0, 1.0], 1.0, 0.0, ndim=2)
         with pytest.raises(DimensionMismatch):
-            kernels.matern32([0.0], [0.0], p)
+            k_point([0.0], [0.0], p)
+        with pytest.raises(DimensionMismatch):
+            k_point([0.0, 0.0], [0.0], p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -80,9 +87,9 @@ class TestMatern32:
             float(np.exp(rng.uniform(-1, 1))), np.exp(rng.uniform(-1, 1, d)),
             1.0, 0.0, ndim=d)
         x, x2 = rng.normal(size=d), rng.normal(size=d)
-        k = kernels.matern32(x, x2, p)
+        k = k_point(x, x2, p)
         assert 0.0 < k <= p.variance + 1e-15
-        assert abs(k - kernels.matern32(x2, x, p)) < 1e-15
+        assert abs(k - k_point(x2, x, p)) < 1e-15
 
 
 class TestKernelMatrix:
@@ -108,22 +115,16 @@ class TestKernelMatrix:
 
 
 class TestParamGradients:
-    def test_mean_and_noise_slices_zero(self):
-        rng = np.random.default_rng(9)
-        X = rng.uniform(-1, 1, (5, 2))
-        p = HyperParams.from_constrained(1.0, [1.0, 2.0], 0.3, 0.5, ndim=2)
-        grads = kernels.param_gradients(X, None, p)
-        d = p.ndim
-        np.testing.assert_array_equal(grads[1 + d], 0.0)  # noise not in k
-        np.testing.assert_array_equal(grads[2 + d], 0.0)  # mean not in k
+    """Kernel partials: d k / d sigma_f^2 = k / sigma_f^2 and ``lengthscale_grad``."""
 
     def test_zero_distance_lengthscale_free(self):
         p = HyperParams.from_constrained(1.3, [0.7], 1.0, 0.0, ndim=1)
         x = np.array([[0.2]])
-        grads = kernels.param_gradients(x, x, p)
+        k, decay = kernels.kernel_with_decay(x, x, p)
         # at x == x2 the variance partial is the transform factor itself
-        assert abs(grads[0][0, 0] - kernels.softplus_grad(p.raw_variance)) < 1e-14
-        assert grads[1][0, 0] == 0.0
+        variance_partial = k[0, 0] / p.variance * p.transform_jacobian()[0]
+        assert abs(variance_partial - kernels.softplus_grad(p.raw_variance)) < 1e-14
+        assert kernels.lengthscale_grad(x, x, p, 0, decay=decay)[0, 0] == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -135,7 +136,10 @@ class TestParamGradients:
             1.0, 0.0, ndim=1)
         x = rng.normal(size=(1, 1))
         x2 = x + rng.uniform(0.1, 2.0, size=(1, 1))
-        grads = kernels.param_gradients(x, x2, p)
+        k, decay = kernels.kernel_with_decay(x, x2, p)
+        jac = p.transform_jacobian()
+        grads = [k / p.variance * jac[0],
+                 kernels.lengthscale_grad(x, x2, p, 0, decay=decay) * jac[1]]
         vec = p.to_vector()
         h = 1e-6
         for i in range(2):  # variance and the single lengthscale
