@@ -129,9 +129,8 @@ def cmd_compare_bounds(args) -> int:
 def cmd_check_gradients(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    # The default config has no data source, so it is loaded only when given.
-    given = args.config or args.set
-    base_seed = config_mod.load_config(args.config, args.set).seed if given else 0
+    # The gradient check builds its own instances, so no data source is required.
+    base_seed = config_mod.load_config(args.config, args.set, needs_data=False).seed
     worst: dict[str, float] = {}
     for seed in range(base_seed, base_seed + args.seeds):
         report = training.gradient_check_report(seed=seed)

@@ -75,7 +75,9 @@ class RunConfig:
             return self.positivity_floor
         return 1e-4 if self.model == "iterative" else 1e-6
 
-    def validate(self) -> None:
+    def validate(self, needs_data: bool = True) -> None:
+        """Raise ConfigError on a bad entry; ``needs_data=False`` skips the data
+        section, for commands that read no data."""
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.m < 1:
@@ -93,6 +95,8 @@ class RunConfig:
             raise ConfigError("optimizer.max_steps must be >= 1")
         if self.iterative.probes < 1:
             raise ConfigError("iterative.probes must be >= 1")
+        if not needs_data:
+            return
         data = self.data
         if data.csv is None and data.synthetic is None:
             raise ConfigError("data needs either a csv path or a synthetic spec")
@@ -143,15 +147,16 @@ def _from_dict(cls, payload: dict, path: str = ""):
     return cls(**kwargs)
 
 
-def config_from_dict(payload: dict) -> RunConfig:
+def config_from_dict(payload: dict, needs_data: bool = True) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config document must be a mapping")
     cfg = _from_dict(RunConfig, payload)
-    cfg.validate()
+    cfg.validate(needs_data)
     return cfg
 
 
-def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
+def load_config(path: str | None, overrides: list[str] | None = None,
+                needs_data: bool = True) -> RunConfig:
     """Read ``path`` (no file: all defaults), apply ``a.b.c=value`` overrides, validate."""
     payload = {}
     if path is not None:
@@ -164,7 +169,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
             raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config document must be a mapping")
-    return config_from_dict(apply_overrides(payload, overrides or []))
+    return config_from_dict(apply_overrides(payload, overrides or []), needs_data)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

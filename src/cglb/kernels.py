@@ -167,8 +167,11 @@ def kernel_with_decay(X, X2=None, params: HyperParams | None = None
     assert params is not None
     X = _check_inputs(X, params)
     X2 = X if X2 is None else _check_inputs(X2, params)
-    s = SQRT3 * _scaled_r(X, X2, params)
-    decay = params.variance * np.exp(-s)
+    s = _scaled_r(X, X2, params)
+    s *= SQRT3
+    decay = np.negative(s)
+    np.exp(decay, out=decay)
+    decay *= params.variance
     s += 1.0
     s *= decay
     return s, decay
@@ -197,6 +200,47 @@ def lengthscale_grad(X, X2, params: HyperParams, j: int, decay: np.ndarray) -> n
     return diff
 
 
+def lengthscale_grad_contract(X, params: HyperParams, decay: np.ndarray,
+                              left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_p left_p.T (d k(X, X) / d lengthscale_j) right_p for every j, shape (d,).
+
+    ``left`` and ``right`` are (n,) or (n, k) with one column per p, and
+    ``decay`` is the second factor of ``kernel_with_decay(X, None, params)``.
+    Expanding (x_ij - x_kj)^2 = x_ij^2 + x_kj^2 - 2 x_ij x_kj turns all d
+    contractions into one product of ``decay`` with k(d + 2) right-hand
+    sides [right, left, right * x_j], so no n x n derivative is formed.
+    X is centred by column first: the differences are unchanged, and the
+    expansion does not cancel on inputs far from the origin.
+    """
+    X = _check_inputs(X, params)
+    xc = X - X.mean(axis=0)
+    n, d = xc.shape
+    left = left.reshape(n, -1)
+    right = right.reshape(n, -1)
+    k = right.shape[1]
+    scaled = (xc[:, :, None] * right[:, None, :]).reshape(n, d * k)
+    prod = decay @ np.concatenate([right, left, scaled], axis=1)
+    square = np.sum(left * prod[:, :k] + right * prod[:, k : 2 * k], axis=1) @ (xc * xc)
+    cross = np.einsum("ik,ijk,ij->j", left, prod[:, 2 * k :].reshape(n, d, k), xc)
+    return 3.0 * (square - 2.0 * cross) / params.lengthscales**3
+
+
+def lengthscale_grad_weighted(X, params: HyperParams, weights: np.ndarray) -> np.ndarray:
+    """sum_ik G_ik (d k(X, X) / d lengthscale_j)_ik for every j, shape (d,).
+
+    ``weights`` is G * decay for a symmetric G, with ``decay`` the second
+    factor of ``kernel_with_decay(X, None, params)``. The same expansion
+    as ``lengthscale_grad_contract`` reduces all d sums to one product
+    ``weights @ [1, x]`` on column-centred X.
+    """
+    X = _check_inputs(X, params)
+    xc = X - X.mean(axis=0)
+    prod = weights @ np.concatenate([np.ones((xc.shape[0], 1)), xc], axis=1)
+    square = prod[:, 0] @ (xc * xc)
+    cross = np.sum(xc * prod[:, 1:], axis=0)
+    return 6.0 * (square - cross) / params.lengthscales**3
+
+
 def input_grad(X, X2, params: HyperParams, decay: np.ndarray) -> np.ndarray:
     """d k(X, X2) / d X, shape (n1, n2, d).
 
@@ -206,5 +250,7 @@ def input_grad(X, X2, params: HyperParams, decay: np.ndarray) -> np.ndarray:
     """
     X = _check_inputs(X, params)
     X2 = X if X2 is None else _check_inputs(X2, params)
-    diff = X[:, None, :] - X2[None, :, :]
-    return -3.0 * decay[:, :, None] * diff / params.lengthscales**2
+    out = X[:, None, :] - X2[None, :, :]
+    out *= (-3.0 * decay)[:, :, None]
+    out /= params.lengthscales**2
+    return out

@@ -106,10 +106,9 @@ def exact_lml(params: HyperParams, X, y, dense_cap: int = DENSE_CAP) -> Objectiv
     d = params.ndim
     grad = np.zeros(params.n_params)
     grad[0] = float(np.sum(g_ff * kff)) / params.variance * jac[0]
-    for j in range(d):
-        dk = kernels.lengthscale_grad(X, X, params, j, decay=decay)
-        grad[1 + j] = float(np.sum(g_ff * dk)) * jac[1 + j]
     grad[1 + d] = float(np.trace(g_ff)) * jac[1 + d]
+    g_ff *= decay
+    grad[1 : 1 + d] = kernels.lengthscale_grad_weighted(X, params, g_ff) * jac[1 : 1 + d]
     grad[2 + d] = float(np.sum(alpha))
     return Objective(value=value, grad=grad, diagnostics={"logdet": logdet, "quad": quad})
 
@@ -174,22 +173,20 @@ def _assemble_sparse_grad(
     sf2 = params.variance
     decay_zx = parts.decay_zx
     decay_zz = parts.decay_zz
-    if ff_pair is not None:
-        left, right = ff_pair
-
     grad = np.zeros(params.n_params)
     acc = (float(np.sum(g_uf * parts.kuf)) + float(np.sum(g_uu * parts.kuu))) / sf2
     acc += g_diag * n
     if ff_pair is not None:
+        left, right = ff_pair
         acc += float(left @ (kff @ right)) / sf2
+        ff_terms = kernels.lengthscale_grad_contract(X, params, decay_ff, left, right)
     grad[0] = acc * jac[0]
     for j in range(d):
         duf = kernels.lengthscale_grad(Z, X, params, j, decay=decay_zx)
         duu = kernels.lengthscale_grad(Z, Z, params, j, decay=decay_zz)
         acc = float(np.sum(g_uf * duf)) + float(np.sum(g_uu * duu))
         if ff_pair is not None:
-            dff = kernels.lengthscale_grad(X, X, params, j, decay=decay_ff)
-            acc += float(left @ (dff @ right))
+            acc += float(ff_terms[j])
         grad[1 + j] = acc * jac[1 + j]
     grad[1 + d] = s_sigma2 * jac[1 + d]
     grad[2 + d] = s_mu0
@@ -470,15 +467,15 @@ def iterative_lml_and_grad(
     d = params.ndim
     grad = np.zeros(params.n_params)
 
-    def trace_est(dk: np.ndarray) -> float:
-        # mean over probes of s_i.T dK p_i, s_i ~ Khat^{-1} p_i
-        return float(np.mean(np.einsum("ij,jk,ik->i", solves, dk, p_mat)))
-
     dk0 = kff / params.variance
-    grad[0] = (0.5 * float(alpha @ dk0 @ alpha) - 0.5 * trace_est(dk0)) * jac[0]
-    for j in range(d):
-        dk = kernels.lengthscale_grad(X, X, params, j, decay=decay)
-        grad[1 + j] = (0.5 * float(alpha @ dk @ alpha) - 0.5 * trace_est(dk)) * jac[1 + j]
+    # mean over probes of s_i.T dK p_i, s_i ~ Khat^{-1} p_i
+    trace0 = float(np.mean(np.einsum("ij,jk,ik->i", solves, dk0, p_mat)))
+    grad[0] = (0.5 * float(alpha @ dk0 @ alpha) - 0.5 * trace0) * jac[0]
+    # 0.5 alpha.T dK alpha - 0.5 * trace estimate, for every lengthscale at once
+    left = np.column_stack([0.5 * alpha, (-0.5 / probes) * solves.T])
+    right = np.column_stack([alpha, p_mat.T])
+    grad[1 : 1 + d] = (kernels.lengthscale_grad_contract(X, params, decay, left, right)
+                       * jac[1 : 1 + d])
     # dKhat/dsigma2 = I
     trace_noise = float(np.mean(np.sum(solves * p_mat, axis=1)))
     grad[1 + d] = (0.5 * float(alpha @ alpha) - 0.5 * trace_noise) * jac[1 + d]

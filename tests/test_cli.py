@@ -249,8 +249,7 @@ class TestCliCommands:
             return {"exact": 0.0}
 
         monkeypatch.setattr(training, "gradient_check_report", report)
-        assert cli.main(["check-gradients", "--seeds", "2", "--set", "seed=4",
-                         "--set", "data.synthetic={}"]) == 0
+        assert cli.main(["check-gradients", "--seeds", "2", "--set", "seed=4"]) == 0
         assert seeds == [4, 5]
 
     def test_unknown_key_exits_2(self, tmp_path):

@@ -149,3 +149,45 @@ class TestParamGradients:
             km = kernels.kernel_matrix(x, x2, p.with_vector(vec - e))[0, 0]
             fd = (kp - km) / (2 * h)
             assert abs(fd - grads[i][0, 0]) <= 1e-5 * max(abs(fd), abs(grads[i][0, 0]), 1e-10)
+
+
+class TestLengthscaleContractions:
+    """The one-product lengthscale contractions against sums of dense ``lengthscale_grad``."""
+
+    @staticmethod
+    def _setup(seed, n, d, offset):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.5, 1.5, (n, d)) + offset
+        p = HyperParams.from_constrained(float(np.exp(rng.uniform(-1.0, 1.0))),
+                                         np.exp(rng.uniform(-0.7, 0.7, d)), 0.1, ndim=d)
+        _, decay = kernels.kernel_with_decay(X, None, p)
+        dense = [kernels.lengthscale_grad(X, X, p, j, decay=decay) for j in range(d)]
+        return rng, X, p, decay, dense
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_contract_matches_dense(self, offset, d, k, seed):
+        rng, X, p, decay, dense = self._setup(seed, 40, d, offset)
+        left = rng.standard_normal((40, k))
+        right = rng.standard_normal((40, k))
+        expect = np.array([np.sum(left * (dk @ right)) for dk in dense])
+        got = kernels.lengthscale_grad_contract(X, p, decay, left, right)
+        np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9 * np.max(np.abs(expect)))
+        if k == 1:  # a single pair may also be passed as vectors
+            vec = kernels.lengthscale_grad_contract(X, p, decay, left[:, 0], right[:, 0])
+            np.testing.assert_array_equal(vec, got)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_weighted_matches_dense(self, offset, d, seed):
+        rng, X, p, decay, dense = self._setup(seed, 40, d, offset)
+        g = rng.standard_normal((40, 40))
+        g += g.T
+        expect = np.array([np.sum(g * dk) for dk in dense])
+        got = kernels.lengthscale_grad_weighted(X, p, g * decay)
+        np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9 * np.max(np.abs(expect)))

@@ -203,6 +203,32 @@ class TestCglbObjective:
             worst = max(worst, abs(fd - base.grad[i]) / max(abs(fd), abs(base.grad[i]), 1e-10))
         assert worst <= 1e-5
 
+    def test_gradient_on_offset_inputs(self):
+        # The bound is translation invariant, so differences of the frozen-v
+        # value on the unshifted inputs check the gradient computed on inputs
+        # shifted by 1e5; differencing the shifted inputs themselves would
+        # drown h in the rounding of X / l. Without centring, the expanded
+        # lengthscale contraction cancels here to about 5e-4.
+        rng = np.random.default_rng(14)
+        inst = random_instance(rng, n=25, d=2, m=4)
+        m = inst.Z.shape[0]
+        cache = VCache()
+        base = models.cglb_objective(inst.params, inst.Z + 1e5, inst.X + 1e5, inst.y,
+                                     cache, eps=1e-12, max_iters=25)
+        v = cache.last_v.copy()
+        vec0 = models.pack_params(inst.params, inst.Z)
+        h = 1e-6
+        worst = 0.0
+        for i in range(vec0.size):
+            e = np.zeros_like(vec0)
+            e[i] = h
+            pp, Zp = models.unpack_params(inst.params, vec0 + e, m=m)
+            pm, Zm = models.unpack_params(inst.params, vec0 - e, m=m)
+            fd = (models.cglb_value_fixed_v(pp, Zp, inst.X, inst.y, v)
+                  - models.cglb_value_fixed_v(pm, Zm, inst.X, inst.y, v)) / (2 * h)
+            worst = max(worst, abs(fd - base.grad[i]) / max(abs(fd), abs(base.grad[i]), 1e-10))
+        assert worst <= 1e-5
+
     def test_quadratic_slack_within_gap(self):
         # exact quad lies within [upper - gap, upper]: the stopping rule
         # caps the objective slack from the quadratic term by eps.
