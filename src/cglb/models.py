@@ -299,8 +299,8 @@ def _cglb_terms(
     return value, quad_upper, logdet
 
 
-def _solve_v(parts: SparseParts, kff: np.ndarray, yc: np.ndarray,
-             cache: VCache | None, eps: float, max_iters: int | None) -> CGState:
+def solve_v(parts: SparseParts, kff: np.ndarray, yc: np.ndarray,
+            cache: VCache | None, eps: float, max_iters: int | None) -> CGState:
     """Qhat-preconditioned CG for Khat v = yc, warm-started from and stored to ``cache``."""
     if cache is None:
         cache = VCache()
@@ -317,6 +317,13 @@ def _solve_v(parts: SparseParts, kff: np.ndarray, yc: np.ndarray,
     return state
 
 
+def _residual(params: HyperParams, X: np.ndarray, yc: np.ndarray, v: np.ndarray
+              ) -> np.ndarray:
+    """yc - Khat v, from a freshly built n x n K_ff."""
+    kff = kernels.kernel_matrix(X, None, params)
+    return yc - (kff @ v + params.noise * v)
+
+
 def cglb_value_fixed_v(params: HyperParams, Z, X, y, v) -> float:
     """The bound evaluated at a frozen candidate v (no CG run).
 
@@ -325,9 +332,8 @@ def cglb_value_fixed_v(params: HyperParams, Z, X, y, v) -> float:
     """
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     v = np.asarray(v, dtype=np.float64)
-    kff = kernels.kernel_matrix(X, None, params)
     yc = y - params.mean
-    r = yc - (kff @ v + params.noise * v)
+    r = _residual(params, X, yc, v)
     gap = float(r @ nystrom.solve_q(parts.factor, r))
     value, _, _ = _cglb_terms(params, parts, yc, v, r, gap)
     return value
@@ -354,7 +360,7 @@ def cglb_objective(
     sigma2 = params.noise
     yc = y - params.mean
     kff, decay_ff = kernels.kernel_with_decay(X, None, params)
-    state = _solve_v(parts, kff, yc, cache, eps, max_iters)
+    state = solve_v(parts, kff, yc, cache, eps, max_iters)
     v, r, u, gap = state.v, state.r, state.z, state.gap
 
     value, quad_upper, logdet = _cglb_terms(params, parts, yc, v, r, gap)
@@ -388,21 +394,27 @@ def cglb_objective(
     )
 
 
-def cglb_predict(params: HyperParams, Z, X, y, v, Xs) -> Prediction:
+def cglb_predict(params: HyperParams, Z, X, y, v, Xs, r=None) -> Prediction:
     """Predictive mean combining the CG solution with a sparse correction.
 
-    mean(x) = k_fs(x).T v + k_u(x).T K_uu^{-1} K_uf Qhat^{-1} (y - Khat v) + mu0.
-    The variance is computed by the same routine as ``sgpr_predict``,
-    so the two agree bit for bit at identical (theta, Z).
+    mean(x) = k_fs(x).T v + k_u(x).T K_uu^{-1} K_uf Qhat^{-1} r + mu0 with
+    the residual r = y - mu0 - Khat v. Pass the ``r`` the solve for v
+    returned (``CGState.r``) to skip the n x n K_ff; when omitted it is
+    recomputed from a fresh K_ff. The variance is computed by the same
+    routine as ``sgpr_predict``, so the two agree bit for bit at
+    identical (theta, Z).
     """
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     v = np.asarray(v, dtype=np.float64)
     if v.shape != y.shape:
         raise DimensionMismatch("v must match y in length")
-    yc = y - params.mean
-    kff = kernels.kernel_matrix(X, None, params)
-    r = yc - (kff @ v + params.noise * v)
+    if r is None:
+        r = _residual(params, X, y - params.mean, v)
+    else:
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != y.shape:
+            raise DimensionMismatch("r must match y in length")
     sparse_mean, var = _sparse_predict(params, parts, Z, Xs, r)
     ks = kernels.kernel_matrix(X, Xs, params)
     mean = ks.T @ v + sparse_mean + params.mean
@@ -416,7 +428,7 @@ def cglb_prediction_vector(
     """Solve for the v used at prediction time (tighter eps than training)."""
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     kff = kernels.kernel_matrix(X, None, params)
-    return _solve_v(parts, kff, y - params.mean, cache, eps, max_iters)
+    return solve_v(parts, kff, y - params.mean, cache, eps, max_iters)
 
 
 # ---------------------------------------------------------------------------

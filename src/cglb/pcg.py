@@ -63,7 +63,7 @@ def pcg_solve(
     max_iters: int | None = None,
     record_history: bool = False,
 ) -> CGState:
-    """Run preconditioned CG until r.T Qhat^{-1} r <= 2*eps or max_iters.
+    """Run preconditioned CG until r.T Qhat^{-1} r <= 2*eps or max_iters (default n).
 
     ``matvec`` must be the action of a symmetric positive definite
     matrix; a search direction with non-positive curvature raises
@@ -77,7 +77,7 @@ def pcg_solve(
     if eps < 0.0:
         raise ValueError("eps must be non-negative")
     if max_iters is None:
-        max_iters = min(n, 1000)
+        max_iters = n  # CG terminates within n steps in exact arithmetic
     if v0 is None:
         v = np.zeros(n)
         r = y.copy()

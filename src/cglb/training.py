@@ -33,6 +33,7 @@ class TrainedModel:
     X: np.ndarray  # standardised training inputs
     y: np.ndarray  # standardised training targets
     stats: StandardStats
+    r: np.ndarray | None = None  # PCG residual y - mu0 - Khat v that came with v
 
 
 def build_dataset(cfg: RunConfig) -> Dataset:
@@ -150,14 +151,14 @@ def train(cfg: RunConfig, train_set: Dataset, trace_sink=None
             trace_sink(trace_record(entry, template, with_z, m))
 
     params, Z = models.unpack_params(template, result.x, m=m if with_z else None)
-    v = None
+    v = r = None
     if cfg.model == "cglb":
         state = models.cglb_prediction_vector(
             params, Z, X, y, cache, eps=cfg.eps_predict)
-        v = state.v
+        v, r = state.v, state.r
     assert train_set.stats is not None, "train() expects a standardised split"
     model = TrainedModel(kind=cfg.model, params=params, Z=Z, v=v, X=X, y=y,
-                         stats=train_set.stats)
+                         stats=train_set.stats, r=r)
     return model, result
 
 
@@ -165,7 +166,8 @@ def predict(model: TrainedModel, Xs: np.ndarray) -> models.Prediction:
     if model.kind == "sgpr":
         return models.sgpr_predict(model.params, model.Z, model.X, model.y, Xs)
     if model.kind == "cglb":
-        return models.cglb_predict(model.params, model.Z, model.X, model.y, model.v, Xs)
+        return models.cglb_predict(model.params, model.Z, model.X, model.y, model.v, Xs,
+                                   r=model.r)
     # exact and the iterative baseline both predict with the dense posterior;
     # the baseline has no sparse structure of its own.
     return models.exact_predict(model.params, model.X, model.y, Xs)
@@ -211,12 +213,12 @@ def compare_bounds_rows(cfg: RunConfig, ds: Dataset) -> list[dict]:
         )
         m = min(cfg.m, n)
         Z = nystrom.greedy_select(X, params, m).Z
-        factor = nystrom.build(X, Z, params)
-        yc = y - params.mean
-        state = models.cglb_prediction_vector(params, Z, X, y, VCache(),
-                                              eps=cfg.eps_predict)
-        report = bounds.bound_report(factor, yc, state.v, state.r)
+        # One set of sparse blocks and one K_ff serve the solve, the bounds and the oracle.
+        parts = nystrom.sparse_parts(params, X, Z)
         kff = kernels.kernel_matrix(X, None, params)
+        yc = y - params.mean
+        state = models.solve_v(parts, kff, yc, None, cfg.eps_predict, None)
+        report = bounds.bound_report(parts.factor, yc, state.v, state.r)
         chol = linalg.cholesky(kff + params.noise * np.eye(n))
         logdet_exact = chol.logdet()
         quad_exact = float(yc @ linalg.chol_solve(chol, yc))
@@ -318,6 +320,7 @@ def save_model(model: TrainedModel, path: str) -> None:
         theta=model.params.to_vector(),
         Z=model.Z if model.Z is not None else np.zeros((0, model.params.ndim)),
         v=model.v if model.v is not None else np.zeros(0),
+        r=model.r if model.r is not None else np.zeros(0),
         X=model.X,
         y=model.y,
         x_mean=model.stats.x_mean,
@@ -345,6 +348,8 @@ def load_model(path: str) -> TrainedModel:
     params = template.with_vector(payload["theta"])
     Z = payload["Z"]
     v = payload["v"]
+    # A model.npz written before the residual was saved has no "r".
+    r = payload["r"] if "r" in payload.files else np.zeros(0)
     stats = StandardStats(
         x_mean=payload["x_mean"],
         x_std=payload["x_std"],
@@ -359,4 +364,5 @@ def load_model(path: str) -> TrainedModel:
         X=payload["X"],
         y=payload["y"],
         stats=stats,
+        r=r if r.size else None,
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cglb import cli, config, data, training
+from cglb import cli, config, data, kernels, models, training
 from cglb.errors import ConfigError
 
 
@@ -175,6 +175,60 @@ class TestTrainDriver:
         p2 = training.predict(loaded, test_set.X)
         np.testing.assert_array_equal(p1.mean, p2.mean)
         np.testing.assert_array_equal(p1.var, p2.var)
+
+    @staticmethod
+    def _cglb_model():
+        cfg = config.config_from_dict({
+            "model": "cglb", "m": 5, "seed": 0,
+            "data": {"synthetic": {"kind": "sine", "n": 60, "d": 2, "seed": 3}},
+            "optimizer": {"max_steps": 3},
+        })
+        ds = training.build_dataset(cfg)
+        train_set, test_set, _ = data.split_standardize(ds, cfg.split_fraction, cfg.seed)
+        model, _ = training.train(cfg, train_set)
+        return model, test_set
+
+    def test_cglb_predict_builds_no_kff(self, monkeypatch):
+        model, test_set = self._cglb_model()
+        assert model.r is not None and model.r.shape == model.y.shape
+        shapes = []
+        original = kernels.kernel_with_decay
+
+        def recording(X, X2=None, params=None):
+            out = original(X, X2, params)
+            shapes.append(out[0].shape)
+            return out
+
+        monkeypatch.setattr(kernels, "kernel_with_decay", recording)
+        training.predict(model, test_set.X)
+        n = model.y.size
+        assert shapes and (n, n) not in shapes
+
+    def test_cglb_model_roundtrip_carries_residual(self, tmp_path):
+        model, test_set = self._cglb_model()
+        path = tmp_path / "model.npz"
+        training.save_model(model, str(path))
+        loaded = training.load_model(str(path))
+        np.testing.assert_array_equal(loaded.r, model.r)
+        p1 = training.predict(model, test_set.X)
+        p2 = training.predict(loaded, test_set.X)
+        np.testing.assert_array_equal(p1.mean, p2.mean)
+        np.testing.assert_array_equal(p1.var, p2.var)
+
+    def test_model_without_residual_predicts_by_rebuilding(self, tmp_path):
+        model, test_set = self._cglb_model()
+        path = tmp_path / "model.npz"
+        training.save_model(model, str(path))
+        with np.load(str(path)) as payload:
+            older = {key: payload[key] for key in payload.files if key != "r"}
+        np.savez(str(path), **older)
+        loaded = training.load_model(str(path))
+        assert loaded.r is None
+        pred = training.predict(loaded, test_set.X)
+        rebuilt = models.cglb_predict(model.params, model.Z, model.X, model.y, model.v,
+                                      test_set.X)
+        np.testing.assert_array_equal(pred.mean, rebuilt.mean)
+        np.testing.assert_array_equal(pred.var, rebuilt.var)
 
 
 class TestCliCommands:

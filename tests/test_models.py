@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cglb import models, nystrom
+from cglb.errors import DimensionMismatch
 from cglb.kernels import HyperParams
 from cglb.pcg import VCache
 from helpers import random_instance
@@ -290,6 +291,27 @@ class TestCglbPredict:
                                  rng.standard_normal(30), Xs)
         ps = models.sgpr_predict(inst.params, inst.Z, inst.X, inst.y, Xs)
         assert np.array_equal(pc.var, ps.var)  # bit-for-bit
+
+    def test_solver_residual_matches_rebuilt_residual(self):
+        rng = np.random.default_rng(21)
+        inst = random_instance(rng, n=80, m=6, noise_log_range=(-3.0, -1.0))
+        Xs = rng.uniform(-1.5, 1.5, (15, inst.X.shape[1]))
+        state = models.cglb_prediction_vector(inst.params, inst.Z, inst.X, inst.y,
+                                              VCache(), eps=1e-3)
+        assert state.iters > 0  # r comes from the CG recurrence, not a fresh product
+        carried = models.cglb_predict(inst.params, inst.Z, inst.X, inst.y, state.v, Xs,
+                                      r=state.r)
+        rebuilt = models.cglb_predict(inst.params, inst.Z, inst.X, inst.y, state.v, Xs)
+        assert (np.max(np.abs(carried.mean - rebuilt.mean))
+                <= 1e-12 * np.max(np.abs(rebuilt.mean)))
+        assert np.array_equal(carried.var, rebuilt.var)
+
+    def test_residual_length_checked(self):
+        rng = np.random.default_rng(22)
+        inst = random_instance(rng, n=20, m=4)
+        with pytest.raises(DimensionMismatch):
+            models.cglb_predict(inst.params, inst.Z, inst.X, inst.y, np.zeros(20),
+                                inst.X[:3], r=np.zeros(19))
 
 
 class TestIterativeBaseline:

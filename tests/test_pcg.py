@@ -56,6 +56,16 @@ class TestPcgSolve:
             assert state.converged
             assert state.gap <= 2.0 * eps
 
+    def test_default_cap_allows_n_iterations(self):
+        # 1200 distinct eigenvalues over four decades: unpreconditioned CG needs
+        # about 1100 iterations here, more than a fixed cap of 1000 allows.
+        n = 1200
+        lam = np.logspace(0.0, np.log10(1.5e4), n)
+        state = pcg.pcg_solve(lambda p: lam * p, lambda r: r, np.ones(n), eps=1e-13)
+        assert state.converged
+        assert 1000 < state.iters <= n
+        np.testing.assert_allclose(state.v, 1.0 / lam, rtol=1e-6)
+
     def test_monotone_lower_bound(self):
         rng = np.random.default_rng(4)
         inst, yc, matvec, precond = make_system(rng, n=50)
