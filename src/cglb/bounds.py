@@ -17,6 +17,10 @@ log-determinant bounds are provided:
 The two-sided quadratic bound brackets y.T Khat^{-1} y around any
 candidate solution v with residual r = y - Khat v; its width
 r.T Qhat^{-1} r is exactly the conjugate-gradient stopping quantity.
+
+``gaussian_lml`` is the one assembly of an objective from a quadratic
+term and a log-determinant term, exact or bounded; every objective in
+the package goes through it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import sym_eig
 from .nystrom import NystromFactor, eig_q, logdet_q, solve_q
+
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,12 @@ class BoundReport:
     quad_upper: float
     assembled_cglb: float
     assembled_elbo: float
+
+
+def gaussian_lml(n: int, quad: float, logdet: float) -> float:
+    """-n/2 log 2 pi - quad/2 - logdet/2: the exact LML with the exact terms,
+    the ELBO and CGLB with their upper bounds on them."""
+    return -0.5 * n * LOG_2PI - 0.5 * quad - 0.5 * logdet
 
 
 def logdet_upper_amgm(f: NystromFactor) -> float:
@@ -101,21 +113,25 @@ def logdet_lower_top(f: NystromFactor) -> float:
     return logdet_q(f) + float(np.log1p(f.trace_residual() / top))
 
 
+def quad_lower(y: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
+    """2 y.T v - v.T Khat v, with v.T Khat v written as v.T (y - r) for r = y - Khat v."""
+    return 2.0 * float(y @ v) - float(v @ (y - r))
+
+
 def quad_bounds(
     f: NystromFactor, y: np.ndarray, v: np.ndarray, r: np.ndarray
 ) -> tuple[float, float]:
     """Two-sided bound on y.T Khat^{-1} y given v and its residual r = y - Khat v.
 
-    lower = 2 y.T v - v.T Khat v, with v.T Khat v written as v.T (y - r)
-    to reuse the matrix-vector product already spent on r;
-    upper = lower + r.T Qhat^{-1} r.
+    lower = ``quad_lower(y, v, r)``, reusing the matrix-vector product
+    already spent on r; upper = lower + r.T Qhat^{-1} r.
     """
     y = np.asarray(y, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if not (y.shape == v.shape == r.shape and y.shape[0] == f.n):
         raise DimensionMismatch("y, v, r must all be length-n vectors")
-    lower = 2.0 * float(y @ v) - float(v @ (y - r))
+    lower = quad_lower(y, v, r)
     upper = lower + float(r @ solve_q(f, r))
     return lower, upper
 
@@ -129,9 +145,7 @@ def bound_report(
     AM-GM log-determinant bound; ``assembled_elbo`` uses v = 0 (so the
     quadratic bound collapses to y.T Qhat^{-1} y) and the trace bound.
     """
-    n = f.n
-    const = -0.5 * n * float(np.log(2.0 * np.pi))
-    quad_lower, quad_upper = quad_bounds(f, y, v, r)
+    lower, upper = quad_bounds(f, y, v, r)
     ld_amgm = logdet_upper_amgm(f)
     ld_trace = logdet_upper_trace(f)
     y_qinv_y = float(y @ solve_q(f, y))
@@ -140,8 +154,8 @@ def bound_report(
         logdet_trace=ld_trace,
         logdet_waterfill=logdet_upper_waterfill(f),
         logdet_lower=logdet_lower_top(f),
-        quad_lower=quad_lower,
-        quad_upper=quad_upper,
-        assembled_cglb=const - 0.5 * quad_upper - 0.5 * ld_amgm,
-        assembled_elbo=const - 0.5 * y_qinv_y - 0.5 * ld_trace,
+        quad_lower=lower,
+        quad_upper=upper,
+        assembled_cglb=gaussian_lml(f.n, upper, ld_amgm),
+        assembled_elbo=gaussian_lml(f.n, y_qinv_y, ld_trace),
     )

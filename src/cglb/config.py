@@ -14,6 +14,10 @@ from typing import Any, get_args, get_origin, get_type_hints
 import yaml
 
 from .errors import ConfigError
+from .optimizer import OptimizerConfig
+
+# The optimizer section is the optimizer's own settings class, range checks included.
+OptimizerSection = OptimizerConfig
 
 MODEL_KINDS = ("exact", "sgpr", "cglb", "iterative")
 
@@ -36,16 +40,6 @@ class DataConfig:
     csv: str | None = None
     target: str | None = None
     synthetic: SyntheticSpec | None = None
-
-
-@dataclass
-class OptimizerSection:
-    max_steps: int = 2000
-    memory: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
-    grad_tol: float = 1e-8
-    max_line_search: int = 25
 
 
 @dataclass
@@ -88,13 +82,12 @@ class RunConfig:
             raise ConfigError("split_fraction must be in (0, 1)")
         if self.eps_train <= 0 or self.eps_predict <= 0:
             raise ConfigError("eps_train and eps_predict must be positive")
-        opt = self.optimizer
-        if not 0.0 < opt.c1 < opt.c2 < 1.0:
-            raise ConfigError("optimizer needs 0 < c1 < c2 < 1")
-        if opt.max_steps < 1:
-            raise ConfigError("optimizer.max_steps must be >= 1")
+        if self.positivity_floor is not None and self.positivity_floor < 0:
+            raise ConfigError("positivity_floor must be >= 0")
         if self.iterative.probes < 1:
             raise ConfigError("iterative.probes must be >= 1")
+        if self.iterative.cg_tol < 0:
+            raise ConfigError("iterative.cg_tol must be >= 0")
         if not needs_data:
             return
         data = self.data
@@ -144,7 +137,10 @@ def _from_dict(cls, payload: dict, path: str = ""):
     kwargs = {}
     for name in names & set(payload):
         kwargs[name] = _coerce(payload[name], hints[name], f"{path}.{name}" if path else name)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a section's own range checks
+        raise ConfigError(f"{path or cls.__name__}: {exc}") from None
 
 
 def config_from_dict(payload: dict, needs_data: bool = True) -> RunConfig:

@@ -49,7 +49,7 @@ def positive_inv(value, floor):
 
 @dataclass(frozen=True, eq=False)
 class HyperParams:
-    """Unconstrained model parameters plus their positivity floors.
+    """Unconstrained model parameters plus the positivity floor they share.
 
     Vector layout (used by the optimiser): [raw_variance,
     raw_lengthscales..., raw_noise, mean].
@@ -59,9 +59,7 @@ class HyperParams:
     raw_lengthscales: np.ndarray
     raw_noise: float
     mean: float
-    variance_floor: float = 1e-6
-    lengthscale_floor: float = 1e-6
-    noise_floor: float = 1e-6
+    floor: float = 1e-6
 
     @classmethod
     def from_constrained(
@@ -81,9 +79,7 @@ class HyperParams:
             raw_lengthscales=positive_inv(ls, floor),
             raw_noise=float(positive_inv(noise, floor)),
             mean=float(mean),
-            variance_floor=floor,
-            lengthscale_floor=floor,
-            noise_floor=floor,
+            floor=floor,
         )
 
     @property
@@ -92,15 +88,15 @@ class HyperParams:
 
     @property
     def variance(self) -> float:
-        return float(positive(self.raw_variance, self.variance_floor))
+        return float(positive(self.raw_variance, self.floor))
 
     @property
     def lengthscales(self) -> np.ndarray:
-        return positive(self.raw_lengthscales, self.lengthscale_floor)
+        return positive(self.raw_lengthscales, self.floor)
 
     @property
     def noise(self) -> float:
-        return float(positive(self.raw_noise, self.noise_floor))
+        return float(positive(self.raw_noise, self.floor))
 
     @property
     def n_params(self) -> int:

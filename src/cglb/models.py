@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, linalg, nystrom
+from . import bounds, kernels, linalg, nystrom
 from .errors import DimensionMismatch
 from .kernels import HyperParams
 from .nystrom import SparseParts
 from .pcg import CGState, VCache, cg_solve_euclidean, pcg_solve, warm_start
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_CLAMP = 1e-12
 DENSE_CAP = 20000
 
@@ -80,6 +79,12 @@ def unpack_params(
     return p, Z
 
 
+def _raw_grad(params: HyperParams, s_var: float, s_ls: np.ndarray, s_noise: float,
+              s_mean: float) -> np.ndarray:
+    """Sensitivities to (variance, lengthscales, noise, mean), chained to the raw vector."""
+    return np.concatenate([[s_var], s_ls, [s_noise, s_mean]]) * params.transform_jacobian()
+
+
 # ---------------------------------------------------------------------------
 # Exact (Cholesky) GPR
 # ---------------------------------------------------------------------------
@@ -92,35 +97,33 @@ def exact_lml(params: HyperParams, X, y, dense_cap: int = DENSE_CAP) -> Objectiv
     if n > dense_cap:
         raise DimensionMismatch(f"n={n} exceeds the dense Cholesky cap {dense_cap}")
     kff, decay = kernels.kernel_with_decay(X, None, params)
-    sigma2 = params.noise
-    chol = linalg.cholesky(kff + sigma2 * np.eye(n))
-    yc = y - params.mean
-    alpha = linalg.chol_solve(chol, yc)
+    chol, alpha = khat_solve(params, kff, y)
     logdet = chol.logdet()
-    quad = float(yc @ alpha)
-    value = -0.5 * n * LOG_2PI - 0.5 * quad - 0.5 * logdet
+    quad = float((y - params.mean) @ alpha)
+    value = bounds.gaussian_lml(n, quad, logdet)
 
     khat_inv = linalg.chol_solve(chol, np.eye(n))
     g_ff = 0.5 * (np.outer(alpha, alpha) - khat_inv)  # sensitivity to Khat
-    jac = params.transform_jacobian()
-    d = params.ndim
-    grad = np.zeros(params.n_params)
-    grad[0] = float(np.sum(g_ff * kff)) / params.variance * jac[0]
-    grad[1 + d] = float(np.trace(g_ff)) * jac[1 + d]
+    s_var = float(np.sum(g_ff * kff)) / params.variance
+    s_noise = float(np.trace(g_ff))
     g_ff *= decay
-    grad[1 : 1 + d] = kernels.lengthscale_grad_weighted(X, params, g_ff) * jac[1 : 1 + d]
-    grad[2 + d] = float(np.sum(alpha))
+    grad = _raw_grad(params, s_var, kernels.lengthscale_grad_weighted(X, params, g_ff),
+                     s_noise, float(np.sum(alpha)))
     return Objective(value=value, grad=grad, diagnostics={"logdet": logdet, "quad": quad})
+
+
+def khat_solve(params: HyperParams, kff: np.ndarray, y: np.ndarray
+               ) -> tuple[linalg.CholFactor, np.ndarray]:
+    """(Cholesky of Khat = K_ff + sigma^2 I, Khat^{-1} (y - mu0))."""
+    chol = linalg.cholesky(kff + params.noise * np.eye(kff.shape[0]))
+    return chol, linalg.chol_solve(chol, y - params.mean)
 
 
 def exact_predict(params: HyperParams, X, y, Xs) -> Prediction:
     """Posterior mean and marginal variance at test points."""
     X, y = _validate_xy(X, y, params)
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    n = y.size
-    kff = kernels.kernel_matrix(X, None, params)
-    chol = linalg.cholesky(kff + params.noise * np.eye(n))
-    alpha = linalg.chol_solve(chol, y - params.mean)
+    chol, alpha = khat_solve(params, kernels.kernel_matrix(X, None, params), y)
     ks = kernels.kernel_matrix(X, Xs, params)
     mean = ks.T @ alpha + params.mean
     w = linalg.tri_solve(chol, ks)
@@ -167,29 +170,24 @@ def _assemble_sparse_grad(
     left.T dK_ff right contribution of objectives that touch K_ff
     densely (requires ``kff`` and ``decay_ff``).
     """
-    n = X.shape[0]
-    jac = params.transform_jacobian()
-    d = params.ndim
     sf2 = params.variance
     decay_zx = parts.decay_zx
     decay_zz = parts.decay_zz
-    grad = np.zeros(params.n_params)
-    acc = (float(np.sum(g_uf * parts.kuf)) + float(np.sum(g_uu * parts.kuu))) / sf2
-    acc += g_diag * n
+    s_var = (float(np.sum(g_uf * parts.kuf)) + float(np.sum(g_uu * parts.kuu))) / sf2
+    s_var += g_diag * X.shape[0]
     if ff_pair is not None:
         left, right = ff_pair
-        acc += float(left @ (kff @ right)) / sf2
+        s_var += float(left @ (kff @ right)) / sf2
         ff_terms = kernels.lengthscale_grad_contract(X, params, decay_ff, left, right)
-    grad[0] = acc * jac[0]
-    for j in range(d):
+    s_ls = np.empty(params.ndim)
+    for j in range(params.ndim):
         duf = kernels.lengthscale_grad(Z, X, params, j, decay=decay_zx)
         duu = kernels.lengthscale_grad(Z, Z, params, j, decay=decay_zz)
         acc = float(np.sum(g_uf * duf)) + float(np.sum(g_uu * duu))
         if ff_pair is not None:
             acc += float(ff_terms[j])
-        grad[1 + j] = acc * jac[1 + j]
-    grad[1 + d] = s_sigma2 * jac[1 + d]
-    grad[2 + d] = s_mu0
+        s_ls[j] = acc
+    grad = _raw_grad(params, s_var, s_ls, s_sigma2, s_mu0)
 
     dzx = kernels.input_grad(Z, X, params, decay=decay_zx)
     dzz = kernels.input_grad(Z, Z, params, decay=decay_zz)
@@ -244,15 +242,14 @@ def _sparse_predict(params: HyperParams, parts: SparseParts, Z, Xs, resid: np.nd
 def elbo(params: HyperParams, Z, X, y) -> Objective:
     """Evidence lower bound and its gradient over theta and Z."""
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
-    n = y.size
     f = parts.factor
     sigma2 = params.noise
     yc = y - params.mean
     beta = nystrom.solve_q(f, yc)
     quad = float(yc @ beta)
     t = f.trace_residual()
-    logdet = nystrom.logdet_q(f)
-    value = -0.5 * n * LOG_2PI - 0.5 * quad - 0.5 * (logdet + t / sigma2)
+    logdet = bounds.logdet_upper_trace(f)
+    value = bounds.gaussian_lml(y.size, quad, logdet)
 
     g_uf, g_uu, g_diag = _qhat_sensitivities(parts, beta, 1.0)
     s_sigma2 = (
@@ -266,8 +263,7 @@ def elbo(params: HyperParams, Z, X, y) -> Objective:
     return Objective(
         value=value,
         grad=grad,
-        diagnostics={"quad": quad, "logdet_trace": logdet + t / sigma2,
-                     "trace_residual": t},
+        diagnostics={"quad": quad, "logdet_trace": logdet, "trace_residual": t},
     )
 
 
@@ -282,21 +278,6 @@ def sgpr_predict(params: HyperParams, Z, X, y, Xs) -> Prediction:
 # ---------------------------------------------------------------------------
 # CGLB
 # ---------------------------------------------------------------------------
-
-
-def _cglb_terms(
-    params: HyperParams, parts: SparseParts, yc: np.ndarray, v: np.ndarray,
-    r: np.ndarray, gap: float
-) -> tuple[float, float, float]:
-    """(value, quad_upper, logdet_amgm) for fixed v with residual r."""
-    n = yc.size
-    f = parts.factor
-    quad_lower = 2.0 * float(yc @ v) - float(v @ (yc - r))
-    quad_upper = quad_lower + gap
-    t = f.trace_residual()
-    logdet = nystrom.logdet_q(f) + n * float(np.log1p(t / (n * f.sigma2)))
-    value = -0.5 * n * LOG_2PI - 0.5 * quad_upper - 0.5 * logdet
-    return value, quad_upper, logdet
 
 
 def solve_v(parts: SparseParts, kff: np.ndarray, yc: np.ndarray,
@@ -334,9 +315,8 @@ def cglb_value_fixed_v(params: HyperParams, Z, X, y, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     yc = y - params.mean
     r = _residual(params, X, yc, v)
-    gap = float(r @ nystrom.solve_q(parts.factor, r))
-    value, _, _ = _cglb_terms(params, parts, yc, v, r, gap)
-    return value
+    quad_upper = bounds.quad_lower(yc, v, r) + float(r @ nystrom.solve_q(parts.factor, r))
+    return bounds.gaussian_lml(y.size, quad_upper, bounds.logdet_upper_amgm(parts.factor))
 
 
 def cglb_objective(
@@ -363,7 +343,9 @@ def cglb_objective(
     state = solve_v(parts, kff, yc, cache, eps, max_iters)
     v, r, u, gap = state.v, state.r, state.z, state.gap
 
-    value, quad_upper, logdet = _cglb_terms(params, parts, yc, v, r, gap)
+    quad_upper = bounds.quad_lower(yc, v, r) + gap
+    logdet = bounds.logdet_upper_amgm(f)
+    value = bounds.gaussian_lml(n, quad_upper, logdet)
 
     # The AM-GM log-det correction weights the trace term by phi; u = Qhat^{-1} r.
     t = f.trace_residual()
@@ -475,28 +457,24 @@ def iterative_lml_and_grad(
         solves[i] = st.v
         total_cg += st.iters
 
-    jac = params.transform_jacobian()
-    d = params.ndim
-    grad = np.zeros(params.n_params)
-
     dk0 = kff / params.variance
     # mean over probes of s_i.T dK p_i, s_i ~ Khat^{-1} p_i
     trace0 = float(np.mean(np.einsum("ij,jk,ik->i", solves, dk0, p_mat)))
-    grad[0] = (0.5 * float(alpha @ dk0 @ alpha) - 0.5 * trace0) * jac[0]
     # 0.5 alpha.T dK alpha - 0.5 * trace estimate, for every lengthscale at once
     left = np.column_stack([0.5 * alpha, (-0.5 / probes) * solves.T])
     right = np.column_stack([alpha, p_mat.T])
-    grad[1 : 1 + d] = (kernels.lengthscale_grad_contract(X, params, decay, left, right)
-                       * jac[1 : 1 + d])
     # dKhat/dsigma2 = I
     trace_noise = float(np.mean(np.sum(solves * p_mat, axis=1)))
-    grad[1 + d] = (0.5 * float(alpha @ alpha) - 0.5 * trace_noise) * jac[1 + d]
-    grad[2 + d] = float(np.sum(alpha))
+    grad = _raw_grad(
+        params,
+        0.5 * float(alpha @ dk0 @ alpha) - 0.5 * trace0,
+        kernels.lengthscale_grad_contract(X, params, decay, left, right),
+        0.5 * float(alpha @ alpha) - 0.5 * trace_noise,
+        float(np.sum(alpha)),
+    )
 
-    diagnostics = {"cg_iters": total_cg, "probes": probes, "logdet_included": False}
-    value = -0.5 * n * LOG_2PI - 0.5 * float(yc @ alpha)
-    if n <= dense_cap:
-        chol = linalg.cholesky(kff + sigma2 * np.eye(n))
-        value -= 0.5 * chol.logdet()
-        diagnostics["logdet_included"] = True
-    return Objective(value=value, grad=grad, diagnostics=diagnostics)
+    diagnostics = {"cg_iters": total_cg, "probes": probes, "logdet_included": n <= dense_cap}
+    # Without the dense log-determinant the value carries the quadratic term only.
+    logdet = linalg.cholesky(kff + sigma2 * np.eye(n)).logdet() if n <= dense_cap else 0.0
+    return Objective(value=bounds.gaussian_lml(n, float(yc @ alpha), logdet), grad=grad,
+                     diagnostics=diagnostics)

@@ -36,6 +36,10 @@ class OptimizerConfig:
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.memory < 1:
+            raise ValueError("memory must be >= 1")
+        if self.max_line_search < 1:
+            raise ValueError("max_line_search must be >= 1")
 
 
 @dataclass

@@ -10,7 +10,7 @@ is free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ class CGState:
     gap: float  # r.T Qhat^{-1} r, clamped at 0
     iters: int
     converged: bool
-    lower_bound_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -61,16 +60,13 @@ def pcg_solve(
     v0: np.ndarray | None = None,
     eps: float = 1.0,
     max_iters: int | None = None,
-    record_history: bool = False,
 ) -> CGState:
     """Run preconditioned CG until r.T Qhat^{-1} r <= 2*eps or max_iters (default n).
 
     ``matvec`` must be the action of a symmetric positive definite
     matrix; a search direction with non-positive curvature raises
     BreakdownDetected. A warm start at the exact solution returns after
-    zero iterations. When ``record_history`` is set, the quadratic lower
-    bound 2 y.T v - v.T Khat v = v.T (y + r) is logged per iteration
-    (it is non-decreasing: CG descends the associated quadratic).
+    zero iterations.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
@@ -88,10 +84,8 @@ def pcg_solve(
         r = y - matvec(v)
     z = precond(r)
     gap = max(float(r @ z), 0.0)
-    history = [float(v @ (y + r))] if record_history else []
     if gap <= 2.0 * eps:
-        return CGState(v=v, r=r, z=z, gap=gap, iters=0, converged=True,
-                       lower_bound_history=history)
+        return CGState(v=v, r=r, z=z, gap=gap, iters=0, converged=True)
     p = z.copy()
     rz = gap
     iters = 0
@@ -110,16 +104,13 @@ def pcg_solve(
         rz_new = float(r @ z)
         gap = max(rz_new, 0.0)
         iters += 1
-        if record_history:
-            history.append(float(v @ (y + r)))
         if gap <= 2.0 * eps:
             converged = True
             break
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new
-    return CGState(v=v, r=r, z=z, gap=gap, iters=iters, converged=converged,
-                   lower_bound_history=history)
+    return CGState(v=v, r=r, z=z, gap=gap, iters=iters, converged=converged)
 
 
 def cg_solve_euclidean(
@@ -134,6 +125,8 @@ def cg_solve_euclidean(
     Implemented as pcg_solve with the identity preconditioner, for which
     the gap quantity r.T z is ||r||^2.
     """
+    if tol < 0.0:
+        raise ValueError("tol must be non-negative")
     b = np.asarray(b, dtype=np.float64)
     threshold = 0.5 * (tol * float(np.linalg.norm(b))) ** 2
     return pcg_solve(matvec, lambda x: x, b, v0=x0, eps=threshold, max_iters=max_iters)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglb import bounds, nystrom
+from cglb import bounds, models, nystrom
 from cglb.errors import DimensionMismatch
 from helpers import dense_qhat, random_instance
 
@@ -243,3 +243,17 @@ class TestBoundReport:
         assert rep.assembled_cglb == pytest.approx(
             const - 0.5 * rep.quad_upper - 0.5 * rep.logdet_amgm, rel=1e-12)
         assert rep.assembled_elbo <= rep.assembled_cglb + 1e-9
+
+    def test_assembled_objectives_are_the_model_values(self):
+        # The report and the models assemble through one formula, so the
+        # values agree to the bit, for any v.
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            inst = random_instance(rng, n=int(rng.integers(10, 50)), m=int(rng.integers(2, 8)))
+            p, X, y, Z = inst.params, inst.X, inst.y, inst.Z
+            yc = y - p.mean
+            v = rng.standard_normal(yc.size)
+            r = yc - (inst.kff @ v + p.noise * v)
+            rep = bounds.bound_report(inst.factor, yc, v, r)
+            assert rep.assembled_cglb == models.cglb_value_fixed_v(p, Z, X, y, v)
+            assert rep.assembled_elbo == models.elbo(p, Z, X, y).value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cglb import cli, config, data, kernels, models, training
+from cglb import cli, config, data, kernels, models, nystrom, training
 from cglb.errors import ConfigError
 
 
@@ -215,6 +215,25 @@ class TestTrainDriver:
         np.testing.assert_array_equal(p1.mean, p2.mean)
         np.testing.assert_array_equal(p1.var, p2.var)
 
+    def test_model_with_three_floors_predicts_identically(self, tmp_path):
+        # a model.npz written when HyperParams kept one floor per parameter
+        model, test_set = self._cglb_model()
+        path = tmp_path / "model.npz"
+        training.save_model(model, str(path))
+        with np.load(str(path)) as payload:
+            older = {key: payload[key] for key in payload.files}
+        meta = json.loads(str(older["meta"]))
+        floor = meta.pop("floor")
+        meta["floors"] = [floor, floor, floor]
+        older["meta"] = json.dumps(meta)
+        np.savez(str(path), **older)
+        loaded = training.load_model(str(path))
+        assert loaded.params.floor == model.params.floor
+        p1 = training.predict(model, test_set.X)
+        p2 = training.predict(loaded, test_set.X)
+        np.testing.assert_array_equal(p1.mean, p2.mean)
+        np.testing.assert_array_equal(p1.var, p2.var)
+
     def test_model_without_residual_predicts_by_rebuilding(self, tmp_path):
         model, test_set = self._cglb_model()
         path = tmp_path / "model.npz"
@@ -232,10 +251,12 @@ class TestTrainDriver:
 
 
 class TestCliCommands:
-    def test_train_writes_outputs_and_reproduces(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["exact", "sgpr", "cglb", "iterative"])
+    def test_train_writes_outputs_and_reproduces(self, tmp_path, kind):
         cfg_path = write_config(tmp_path, SINE_CFG)
         out1 = tmp_path / "run1"
-        assert cli.main(["train", "--config", cfg_path, "--out", str(out1)]) == 0
+        assert cli.main(["train", "--config", cfg_path, "--set", f"model={kind}",
+                         "--out", str(out1)]) == 0
         for name in ("config.yaml", "trace.jsonl", "model.npz", "summary.json"):
             assert (out1 / name).exists()
         # retrain from the echoed config: summary must be bit-identical
@@ -276,6 +297,25 @@ class TestCliCommands:
             assert col in header
         assert all(line.endswith("True") for line in rows[1:])
 
+    def test_compare_bounds_lml_is_exact_lml(self, monkeypatch):
+        cfg = config.config_from_dict({
+            "m": 5, "seed": 2, "bound_draws": 3,
+            "data": {"synthetic": {"kind": "sine", "n": 60, "d": 2, "seed": 3}},
+        })
+        ds = training.build_dataset(cfg)
+        drawn = []
+        select = nystrom.greedy_select
+
+        def recording(X, params, m):
+            drawn.append(params)
+            return select(X, params, m)
+
+        monkeypatch.setattr(nystrom, "greedy_select", recording)
+        rows = training.compare_bounds_rows(cfg, ds)
+        assert len(drawn) == len(rows) == 3
+        for row, params in zip(rows, drawn):
+            assert row["lml"] == models.exact_lml(params, ds.X, ds.y).value
+
     def test_check_gradients_command(self, capsys):
         assert cli.main(["check-gradients", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
@@ -286,6 +326,11 @@ class TestCliCommands:
         ("check-gradients", ["--seeds", "0"]),
         ("check-gradients", ["--set", "seed=notanumber"]),
         ("compare-bounds", ["--set", "bound_draws=0"]),
+        # out of range: each would otherwise run with its meaning silently changed
+        ("train", ["--set", "iterative.cg_tol=-0.01"]),
+        ("train", ["--set", "optimizer.max_line_search=0"]),
+        ("train", ["--set", "optimizer.memory=0"]),
+        ("train", ["--set", "positivity_floor=-1e-6"]),
     ])
     def test_rejected_arguments_exit_2(self, tmp_path, command, extra):
         argv = [command, *extra]

@@ -90,6 +90,10 @@ class TestMinimize:
             OptimizerConfig(c1=0.9, c2=0.1)
         with pytest.raises(ValueError):
             OptimizerConfig(max_steps=0)
+        with pytest.raises(ValueError, match="memory"):
+            OptimizerConfig(memory=0)
+        with pytest.raises(ValueError, match="max_line_search"):
+            OptimizerConfig(max_line_search=0)
 
 
 class TestCheckGrad:

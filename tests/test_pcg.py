@@ -67,13 +67,20 @@ class TestPcgSolve:
         np.testing.assert_allclose(state.v, 1.0 / lam, rtol=1e-6)
 
     def test_monotone_lower_bound(self):
+        # The quadratic lower bound 2 y.T v - v.T Khat v = v.T (y + r) after k
+        # iterations, k = 0..iters: CG is deterministic, so a solve capped at
+        # k iterations stops at the k-th iterate of the uncapped one.
         rng = np.random.default_rng(4)
         inst, yc, matvec, precond = make_system(rng, n=50)
-        state = pcg.pcg_solve(matvec, precond, yc, eps=1e-24, max_iters=50,
-                              record_history=True)
-        hist = np.array(state.lower_bound_history)
-        assert hist.size == state.iters + 1
+        state = pcg.pcg_solve(matvec, precond, yc, eps=1e-24, max_iters=50)
+        capped = [pcg.pcg_solve(matvec, precond, yc, eps=1e-24, max_iters=k)
+                  for k in range(state.iters + 1)]
+        hist = np.array([float(s.v @ (yc + s.r)) for s in capped])
         assert np.all(np.diff(hist) >= -1e-8 * np.maximum(1.0, np.abs(hist[:-1])))
+
+    def test_negative_euclidean_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            pcg.cg_solve_euclidean(lambda p: p, np.ones(3), tol=-0.01)
 
     def test_breakdown_on_indefinite_matrix(self):
         a = np.diag([1.0, -1.0])
