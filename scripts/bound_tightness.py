@@ -40,7 +40,7 @@ def main() -> int:
     header = f"{'m':>5s} {'lower_top':>12s} {'waterfill':>12s} {'amgm':>12s} {'trace':>12s}"
     print(header)
     for m in sorted(args.m_grid):
-        factor = nystrom.build(ds.X, ds.X[order[:m]], params)
+        factor = nystrom.sparse_parts(params, ds.X, ds.X[order[:m]]).factor
         row = {
             "m": m,
             "logdet_exact": exact,

@@ -1,9 +1,8 @@
 """Print a SHA-256 digest of every deterministic CLI output at one fixed config.
 
-Trains and evaluates each model kind (and the Hutchinson baseline once
-more with its dense log-determinant capped off), writes a
-``compare-bounds`` report and runs ``check-gradients``, then prints one
-``sha256  name`` line per output. Two versions of the package compute
+Trains and evaluates each model kind, writes a ``compare-bounds``
+report and runs ``check-gradients``, then prints one ``sha256  name``
+line per output. Two versions of the package compute
 the same numbers exactly when their listings are the same:
 
     PYTHONPATH=src python scripts/output_digest.py --out /tmp/new > new.txt
@@ -33,7 +32,6 @@ RUNS = {
     "sgpr": ["model=sgpr"],
     "cglb": ["model=cglb"],
     "iterative": ["model=iterative"],
-    "iterative-nologdet": ["model=iterative", "dense_cap=1"],
 }
 
 

@@ -31,7 +31,7 @@ from .models import (
     iterative_lml_and_grad,
     sgpr_predict,
 )
-from .nystrom import InducingSet, NystromFactor, build, eig_q, greedy_select, logdet_q, solve_q
+from .nystrom import InducingSet, NystromFactor, eig_q, greedy_select, logdet_q, solve_q
 from .optimizer import MinimizeResult, OptimizerConfig, check_grad, minimize
 from .pcg import CGState, VCache, cg_solve_euclidean, pcg_solve, warm_start
 
@@ -43,7 +43,7 @@ __all__ = [
     "Objective", "Prediction", "cglb_objective", "cglb_predict",
     "cglb_value_fixed_v", "elbo", "exact_lml", "exact_predict",
     "iterative_lml_and_grad", "sgpr_predict",
-    "InducingSet", "NystromFactor", "build", "eig_q", "greedy_select",
+    "InducingSet", "NystromFactor", "eig_q", "greedy_select",
     "logdet_q", "solve_q",
     "MinimizeResult", "OptimizerConfig", "check_grad", "minimize",
     "CGState", "VCache", "cg_solve_euclidean", "pcg_solve", "warm_start",

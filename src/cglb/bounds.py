@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import sym_eig
 from .nystrom import NystromFactor, eig_q, logdet_q, solve_q
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -105,12 +104,7 @@ def logdet_lower_top(f: NystromFactor) -> float:
     Attained by Qhat + t w w.T with w the top eigenvector, so this is the
     greatest lower bound under the same trace/PSD information.
     """
-    if f.m == 0:
-        top = f.sigma2
-    else:
-        gram_eigs, _ = sym_eig(f.a @ f.a.T)
-        top = f.sigma2 + max(float(gram_eigs[0]), 0.0)
-    return logdet_q(f) + float(np.log1p(f.trace_residual() / top))
+    return logdet_q(f) + float(np.log1p(f.trace_residual() / eig_q(f)[0]))
 
 
 def quad_lower(y: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:

@@ -18,23 +18,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import data, training
-from .errors import (
-    BreakdownDetected,
-    CglbError,
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    NonFiniteObjective,
-    NotPositiveDefinite,
-)
-
-NUMERICAL_ERRORS = (
-    NotPositiveDefinite,
-    BreakdownDetected,
-    ConvergenceFailure,
-    NonFiniteObjective,
-    DimensionMismatch,
-)
+from .errors import CglbError, ConfigError
 
 
 def _split(cfg: config_mod.RunConfig):
@@ -65,12 +49,7 @@ def _run_single_training(cfg: config_mod.RunConfig, out: Path) -> dict:
         "termination": result.reason,
         "n_evals": result.n_evals,
         "metrics": metrics,
-        "theta": {
-            "variance": model.params.variance,
-            "lengthscales": [float(v) for v in model.params.lengthscales],
-            "noise": model.params.noise,
-            "mean": model.params.mean,
-        },
+        "theta": training.theta_record(model.params),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -194,11 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except CglbError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except CglbError as exc:  # residual package errors: treat as numerical
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -14,6 +14,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import yaml
 
 from .errors import ConfigError
+from .models import DENSE_CAP
 from .optimizer import OptimizerConfig
 
 # The optimizer section is the optimizer's own settings class, range checks included.
@@ -57,7 +58,7 @@ class RunConfig:
     seed: int = 0
     split_fraction: float = 2.0 / 3.0
     positivity_floor: float | None = None  # resolve_floor() fills the per-model default
-    dense_cap: int = 20000
+    dense_cap: int = DENSE_CAP
     bound_draws: int = 10
     output_dir: str = "runs/latest"
     data: DataConfig = field(default_factory=DataConfig)
@@ -76,6 +77,8 @@ class RunConfig:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
+        if self.dense_cap < 1:
+            raise ConfigError("dense_cap must be >= 1")
         if self.bound_draws < 1:
             raise ConfigError("bound_draws must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
@@ -95,8 +98,15 @@ class RunConfig:
             raise ConfigError("data needs either a csv path or a synthetic spec")
         if data.csv is not None and data.target is None:
             raise ConfigError("data.target is required with data.csv")
-        if data.synthetic is not None and data.synthetic.kind not in ("sine", "gp"):
+        spec = data.synthetic
+        if spec is None:
+            return
+        if spec.kind not in ("sine", "gp"):
             raise ConfigError("data.synthetic.kind must be 'sine' or 'gp'")
+        if spec.variance <= 0 or spec.lengthscale <= 0:
+            raise ConfigError("data.synthetic.variance and lengthscale must be positive")
+        if spec.noise_variance < 0 or spec.noise_std < 0:
+            raise ConfigError("data.synthetic.noise_variance and noise_std must be >= 0")
 
 
 def _coerce(value: Any, hint: Any, path: str) -> Any:

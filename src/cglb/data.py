@@ -163,8 +163,8 @@ def synthetic_gp(
 
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, (n, d))
-    params = HyperParams.from_constrained(variance, lengthscale, max(noise_variance, 1e-12),
-                                          mean, ndim=d)
+    # K_ff does not read the noise; it is added to y below, so noise_variance = 0 works.
+    params = HyperParams.from_constrained(variance, lengthscale, 1.0, mean, ndim=d)
     k = kernels.kernel_matrix(X, None, params)
     chol = np.linalg.cholesky(k + 1e-10 * np.eye(n))
     y = chol @ rng.standard_normal(n)

@@ -79,6 +79,12 @@ def unpack_params(
     return p, Z
 
 
+def require_dense(n: int, dense_cap: int) -> None:
+    """Raise DimensionMismatch before an n x n matrix is built for n > ``dense_cap``."""
+    if n > dense_cap:
+        raise DimensionMismatch(f"n={n} exceeds the dense cap {dense_cap}")
+
+
 def _raw_grad(params: HyperParams, s_var: float, s_ls: np.ndarray, s_noise: float,
               s_mean: float) -> np.ndarray:
     """Sensitivities to (variance, lengthscales, noise, mean), chained to the raw vector."""
@@ -94,8 +100,7 @@ def exact_lml(params: HyperParams, X, y, dense_cap: int = DENSE_CAP) -> Objectiv
     """Log marginal likelihood and gradient via dense Cholesky."""
     X, y = _validate_xy(X, y, params)
     n = y.size
-    if n > dense_cap:
-        raise DimensionMismatch(f"n={n} exceeds the dense Cholesky cap {dense_cap}")
+    require_dense(n, dense_cap)
     kff, decay = kernels.kernel_with_decay(X, None, params)
     chol, alpha = khat_solve(params, kff, y)
     logdet = chol.logdet()
@@ -314,8 +319,7 @@ def cglb_value_fixed_v(params: HyperParams, Z, X, y, v) -> float:
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     v = np.asarray(v, dtype=np.float64)
     yc = y - params.mean
-    r = _residual(params, X, yc, v)
-    quad_upper = bounds.quad_lower(yc, v, r) + float(r @ nystrom.solve_q(parts.factor, r))
+    _, quad_upper = bounds.quad_bounds(parts.factor, yc, v, _residual(params, X, yc, v))
     return bounds.gaussian_lml(y.size, quad_upper, bounds.logdet_upper_amgm(parts.factor))
 
 
@@ -426,7 +430,6 @@ def iterative_lml_and_grad(
     cg_tol: float = 1e-2,
     rng: np.random.Generator | None = None,
     dense_cap: int = DENSE_CAP,
-    max_cg_iters: int | None = None,
 ) -> Objective:
     """Stochastic LML gradient with Rademacher trace probes and CG solves.
 
@@ -434,7 +437,7 @@ def iterative_lml_and_grad(
     p.T Khat^{-1} (dKhat/dtheta) p with each Khat^{-1} p approximated by
     CG at Euclidean tolerance ``cg_tol`` (the source of bias when loose).
     The value uses the same CG solve for the quadratic term plus a dense
-    log-determinant when n is within ``dense_cap``.
+    log-determinant.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -442,18 +445,19 @@ def iterative_lml_and_grad(
         rng = np.random.default_rng()
     X, y = _validate_xy(X, y, params)
     n = y.size
+    require_dense(n, dense_cap)
     sigma2 = params.noise
     kff, decay = kernels.kernel_with_decay(X, None, params)
     matvec = lambda p: kff @ p + sigma2 * p  # noqa: E731
     yc = y - params.mean
 
-    alpha_state = cg_solve_euclidean(matvec, yc, tol=cg_tol, max_iters=max_cg_iters)
+    alpha_state = cg_solve_euclidean(matvec, yc, tol=cg_tol)
     alpha = alpha_state.v
     p_mat = rng.integers(0, 2, size=(probes, n)).astype(np.float64) * 2.0 - 1.0
     solves = np.empty_like(p_mat)
     total_cg = alpha_state.iters
     for i in range(probes):
-        st = cg_solve_euclidean(matvec, p_mat[i], tol=cg_tol, max_iters=max_cg_iters)
+        st = cg_solve_euclidean(matvec, p_mat[i], tol=cg_tol)
         solves[i] = st.v
         total_cg += st.iters
 
@@ -473,8 +477,6 @@ def iterative_lml_and_grad(
         float(np.sum(alpha)),
     )
 
-    diagnostics = {"cg_iters": total_cg, "probes": probes, "logdet_included": n <= dense_cap}
-    # Without the dense log-determinant the value carries the quadratic term only.
-    logdet = linalg.cholesky(kff + sigma2 * np.eye(n)).logdet() if n <= dense_cap else 0.0
+    logdet = linalg.cholesky(kff + sigma2 * np.eye(n)).logdet()
     return Objective(value=bounds.gaussian_lml(n, float(yc @ alpha), logdet), grad=grad,
-                     diagnostics=diagnostics)
+                     diagnostics={"cg_iters": total_cg, "probes": probes})

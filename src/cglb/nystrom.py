@@ -67,15 +67,6 @@ def sparse_parts(params: HyperParams, X: np.ndarray, Z: np.ndarray) -> SparsePar
                        decay_zz=decay_zz, decay_zx=decay_zx)
 
 
-def build(X: np.ndarray, Z: np.ndarray, params: HyperParams) -> NystromFactor:
-    """Assemble the factor for inducing locations Z over training inputs X."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if X.shape[1] != Z.shape[1]:
-        raise DimensionMismatch("X and Z have different input dimension")
-    return sparse_parts(params, X, Z).factor
-
-
 def from_half_factor(a: np.ndarray, sigma2: float, trace_kff: float) -> NystromFactor:
     """Factor from an explicit half-factor A with Q_ff = A.T A."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -90,11 +81,6 @@ def from_half_factor(a: np.ndarray, sigma2: float, trace_kff: float) -> NystromF
     )
 
 
-def diagonal_factor(sigma2: float, n: int, trace_kff: float) -> NystromFactor:
-    """The zero-inducing-point factor, Qhat = sigma^2 I."""
-    return from_half_factor(np.zeros((0, n)), sigma2, trace_kff)
-
-
 def solve_q(f: NystromFactor, b: np.ndarray) -> np.ndarray:
     """Apply Qhat^{-1} to a vector or to each column of a matrix.
 
@@ -104,8 +90,6 @@ def solve_q(f: NystromFactor, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != f.n:
         raise DimensionMismatch(f"rhs has length {b.shape[0]}, factor covers n={f.n}")
-    if f.m == 0:
-        return b / f.sigma2
     ab = f.a @ b
     correction = f.a.T @ linalg.chol_solve(f.b_chol, ab) / f.sigma2
     return (b - correction) / f.sigma2
@@ -122,8 +106,6 @@ def eig_q(f: NystromFactor) -> np.ndarray:
     The m nontrivial ones are sigma^2 plus the eigenvalues of A A.T;
     the remaining n - m equal sigma^2 exactly.
     """
-    if f.m == 0:
-        return np.full(f.n, f.sigma2)
     gram = f.a @ f.a.T
     w, _ = linalg.sym_eig(gram)
     top = f.sigma2 + np.clip(w, 0.0, None)
@@ -132,8 +114,6 @@ def eig_q(f: NystromFactor) -> np.ndarray:
 
 def trace_qinv(f: NystromFactor) -> float:
     """Tr(Qhat^{-1}), used by gradient assembly."""
-    if f.m == 0:
-        return f.n / f.sigma2
     # Tr(Qhat^{-1}) = (n - Tr(B^{-1} A A.T / sigma^2)) / sigma^2; B = I + A A.T/sigma^2
     # and B^{-1}(B - I) = I - B^{-1}.
     binv_diag_sum = float(np.trace(linalg.chol_solve(f.b_chol, np.eye(f.m))))
@@ -149,9 +129,7 @@ class InducingSet:
     complete: bool  # False when the residual diagonal collapsed early
 
 
-def greedy_select(
-    X: np.ndarray, params: HyperParams, m: int, seed_index: int = 0
-) -> InducingSet:
+def greedy_select(X: np.ndarray, params: HyperParams, m: int) -> InducingSet:
     """Pick m rows of X by largest Nystrom residual diagonal.
 
     This is partial pivoted Cholesky on K_ff: after each pick the
@@ -164,14 +142,12 @@ def greedy_select(
     n = X.shape[0]
     if not 1 <= m <= n:
         raise DimensionMismatch(f"m={m} must be in [1, {n}]")
-    if not 0 <= seed_index < n:
-        raise DimensionMismatch(f"seed_index {seed_index} out of range")
     d = kernels.kernel_diag(X, params).copy()
     floor = 1e-12 * float(np.max(d))
     cols = np.zeros((m, n))
     picks: list[int] = []
     for t in range(m):
-        j = seed_index if t == 0 else int(np.argmax(d))
+        j = int(np.argmax(d))
         if d[j] <= floor:
             break
         row = kernels.kernel_matrix(X, X[j : j + 1], params)[:, 0]

@@ -71,7 +71,7 @@ def minimize(
     """Minimise f from x0; returns the best point and a per-step trace.
 
     ``diagnostics``, when given, is polled after every accepted step and
-    its dict is merged into that step's trace entry (used to record CG
+    its dict becomes that step's trace-entry extras (used to record CG
     iteration counts from the objective). The trace has one entry per
     accepted step plus the initial point.
     """
@@ -101,10 +101,8 @@ def minimize(
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise NonFiniteObjective(f"objective not finite at the initial point: {value}")
 
-    def entry(step: int, extras_from: dict | None = None) -> TraceEntry:
-        extras = dict(extras_from or {})
-        if diagnostics is not None:
-            extras.update(diagnostics())
+    def entry(step: int) -> TraceEntry:
+        extras = diagnostics() if diagnostics is not None else {}
         return TraceEntry(
             step=step,
             value=value,
@@ -165,8 +163,6 @@ def minimize(
                 s_hist.pop(0); y_hist.pop(0); rho_hist.pop(0)
         x, value, grad = x_new, value_new, grad_new
         trace.append(entry(step))
-    else:
-        reason = "max_steps"
 
     if reason == "max_steps" and float(np.max(np.abs(grad))) <= cfg.grad_tol:
         reason = "grad_tol"
@@ -196,25 +192,18 @@ def _two_loop(
     return q
 
 
-def check_grad(
-    f: ValueAndGrad,
-    x: np.ndarray,
-    h: float = 1e-6,
-    seed: int = 0,
-    n_directions: int = 10,
-) -> float:
+def check_grad(f: ValueAndGrad, x: np.ndarray, seed: int = 0) -> float:
     """Worst relative error of the analytic gradient along random directions.
 
-    Central differences (f(x+hd) - f(x-hd)) / 2h against grad @ d for
-    ``n_directions`` random unit vectors d.
+    Central differences (f(x+hd) - f(x-hd)) / 2h with h = 1e-6 against
+    grad @ d for 10 random unit vectors d.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-6
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
     _, grad = f(x)
     worst = 0.0
-    for _ in range(n_directions):
+    for _ in range(10):
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
         fp, _ = f(x + h * d)

@@ -116,7 +116,6 @@ def pcg_solve(
 def cg_solve_euclidean(
     matvec: MatVec,
     b: np.ndarray,
-    x0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iters: int | None = None,
 ) -> CGState:
@@ -129,4 +128,4 @@ def cg_solve_euclidean(
         raise ValueError("tol must be non-negative")
     b = np.asarray(b, dtype=np.float64)
     threshold = 0.5 * (tol * float(np.linalg.norm(b))) ** 2
-    return pcg_solve(matvec, lambda x: x, b, v0=x0, eps=threshold, max_iters=max_iters)
+    return pcg_solve(matvec, lambda x: x, b, eps=threshold, max_iters=max_iters)

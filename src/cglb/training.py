@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds, data, kernels, models, nystrom, optimizer
 from .config import RunConfig
 from .data import Dataset, StandardStats
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError
 from .kernels import HyperParams
 from .pcg import VCache
 
@@ -90,21 +90,26 @@ def _make_objective(cfg: RunConfig, kind: str, X, y, template: HyperParams,
     return fun, diagnostics
 
 
-def trace_record(entry: optimizer.TraceEntry, template: HyperParams,
-                 with_z: bool, m: int | None) -> dict:
-    p, _ = models.unpack_params(template, entry.x, m=m if with_z else None)
+def theta_record(params: HyperParams) -> dict:
+    """Constrained hyperparameters as a JSON-serialisable dict."""
+    return {
+        "variance": params.variance,
+        "lengthscales": [float(v) for v in params.lengthscales],
+        "noise": params.noise,
+        "mean": params.mean,
+    }
+
+
+def trace_record(entry: optimizer.TraceEntry, template: HyperParams, m: int | None) -> dict:
+    """``m`` is None for the models without inducing points."""
+    p, _ = models.unpack_params(template, entry.x, m=m)
     return {
         "step": entry.step,
         "objective": -entry.value,  # back to the maximised bound
         "grad_norm": entry.grad_norm,
         "cg_iters": entry.extras.get("cg_iters", 0),
         "elapsed_s": entry.elapsed_s,
-        "theta": {
-            "variance": p.variance,
-            "lengthscales": [float(v) for v in p.lengthscales],
-            "noise": p.noise,
-            "mean": p.mean,
-        },
+        "theta": theta_record(p),
     }
 
 
@@ -117,22 +122,19 @@ def train(cfg: RunConfig, train_set: Dataset, trace_sink=None
     """
     X, y = train_set.X, train_set.y
     template = initial_params(cfg, train_set.d)
-    with_z = cfg.model in ("sgpr", "cglb")
-    m = min(cfg.m, train_set.n) if with_z else None
-    if with_z:
-        selection = nystrom.greedy_select(X, template, m)
-        Z0, m = selection.Z, selection.Z.shape[0]
-    else:
-        Z0 = None
+    m = Z0 = None
+    if cfg.model in ("sgpr", "cglb"):
+        Z0 = nystrom.greedy_select(X, template, min(cfg.m, train_set.n)).Z
+        m = Z0.shape[0]
     cache = VCache()
     fun, diagnostics = _make_objective(cfg, cfg.model, X, y, template, m, cache)
     x0 = models.pack_params(template, Z0)
     result = optimizer.minimize(fun, x0, cfg.optimizer, diagnostics=diagnostics)
     if trace_sink is not None:
         for entry in result.trace:
-            trace_sink(trace_record(entry, template, with_z, m))
+            trace_sink(trace_record(entry, template, m))
 
-    params, Z = models.unpack_params(template, result.x, m=m if with_z else None)
+    params, Z = models.unpack_params(template, result.x, m=m)
     v = r = None
     if cfg.model == "cglb":
         state = models.cglb_prediction_vector(
@@ -179,9 +181,7 @@ def compare_bounds_rows(cfg: RunConfig, ds: Dataset) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     X, y = ds.X, ds.y
     n, d = ds.n, ds.d
-    if n > cfg.dense_cap:
-        raise DimensionMismatch(
-            f"n={n} too large for the dense oracle (cap {cfg.dense_cap})")
+    models.require_dense(n, cfg.dense_cap)
     floor = cfg.resolve_floor()
     rows = []
     for draw in range(cfg.bound_draws):
@@ -245,9 +245,9 @@ def write_bound_report(rows: list[dict], path: str) -> None:
                              for k, v in row.items()})
 
 
-def gradient_check_report(seed: int = 0, n: int = 25, d: int = 2, m: int = 5,
-                          h: float = 1e-6) -> dict[str, float]:
+def gradient_check_report(seed: int = 0) -> dict[str, float]:
     """Worst finite-difference relative error per objective; CGLB keeps v frozen."""
+    n, d, m = 25, 2, 5
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, (n, d))
     params = HyperParams.from_constrained(
@@ -282,10 +282,9 @@ def gradient_check_report(seed: int = 0, n: int = 25, d: int = 2, m: int = 5,
         return models.cglb_value_fixed_v(p, Zv, X, y, v_frozen), base.grad
 
     return {
-        "exact": optimizer.check_grad(f_exact, models.pack_params(params), h=h, seed=seed),
-        "elbo": optimizer.check_grad(f_elbo, models.pack_params(params, Z), h=h, seed=seed),
-        "cglb": optimizer.check_grad(f_cglb, models.pack_params(params, Z), h=h,
-                                     seed=seed + 1),
+        "exact": optimizer.check_grad(f_exact, models.pack_params(params), seed=seed),
+        "elbo": optimizer.check_grad(f_elbo, models.pack_params(params, Z), seed=seed),
+        "cglb": optimizer.check_grad(f_cglb, models.pack_params(params, Z), seed=seed + 1),
     }
 
 

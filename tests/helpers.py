@@ -47,7 +47,7 @@ def random_instance(rng: np.random.Generator, n: int = 40, d: int = 2,
     chol = np.linalg.cholesky(khat + 1e-12 * np.eye(n))
     y = chol @ rng.standard_normal(n) + params.mean
     Z = nystrom.greedy_select(X, params, min(m, n)).Z
-    factor = nystrom.build(X, Z, params)
+    factor = nystrom.sparse_parts(params, X, Z).factor
     return Instance(X=X, y=y, params=params, Z=Z, kff=kff, khat=khat, factor=factor)
 
 

@@ -69,7 +69,7 @@ def test_criterion_2_logdet_ordering():
         low = bounds.logdet_lower_top(inst.factor)
         worst = max(worst, low - exact_ld, exact_ld - wf, wf - amgm, amgm - trace)
     # scalar anchor: Khat=[2], Qhat=[1] makes the AM-GM step an equality
-    anchor = bounds.logdet_upper_amgm(nystrom.diagonal_factor(1.0, 1, 1.0))
+    anchor = bounds.logdet_upper_amgm(nystrom.from_half_factor(np.zeros((0, 1)), 1.0, 1.0))
     anchor_ok = anchor == np.log(2.0)
     ok = worst <= 1e-8 and anchor_ok
     criterion(2, "log-det ordering lower <= exact <= waterfill <= amgm <= trace", ok,

@@ -19,7 +19,7 @@ class TestAmGmBound:
 
     def test_scalar_log2_equality(self):
         # n=1, Khat=[2], Qhat=[1]: the AM-GM step is an equality, log 2 exactly.
-        f = nystrom.diagonal_factor(sigma2=1.0, n=1, trace_kff=1.0)
+        f = nystrom.from_half_factor(np.zeros((0, 1)), 1.0, trace_kff=1.0)
         assert bounds.logdet_upper_amgm(f) == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_upper_bounds_exact_and_below_trace(self):
@@ -44,7 +44,7 @@ class TestTraceBound:
         from cglb.kernels import HyperParams
         p = HyperParams.from_constrained(1.0, 1.0, 0.5, 0.0, ndim=1)
         Z = nystrom.greedy_select(X, p, 25).Z  # large m: tiny residual
-        f = nystrom.build(X, Z, p)
+        f = nystrom.sparse_parts(p, X, Z).factor
         t = f.trace_residual()
         gap = bounds.logdet_upper_trace(f) - bounds.logdet_upper_amgm(f)
         assert 0.0 <= gap <= (t / f.sigma2) ** 2 / (2 * n) + 1e-12
@@ -131,7 +131,7 @@ class TestLowerTop:
         assert bounds.logdet_lower_top(f) == pytest.approx(nystrom.logdet_q(f))
 
     def test_scalar_exact(self):
-        f = nystrom.diagonal_factor(sigma2=1.0, n=1, trace_kff=1.0)
+        f = nystrom.from_half_factor(np.zeros((0, 1)), 1.0, trace_kff=1.0)
         # Khat = [2]: budget 1, top eigenvalue 1 -> log(2) exactly
         assert bounds.logdet_lower_top(f) == pytest.approx(np.log(2.0))
 
@@ -225,8 +225,8 @@ class TestOrderingChain:
             order = nystrom.greedy_select(X, p, 20).selection_order
             m_small = int(rng.integers(3, 10))
             m_big = int(rng.integers(m_small + 1, 21))
-            f_small = nystrom.build(X, X[order[:m_small]], p)
-            f_big = nystrom.build(X, X[order[:m_big]], p)
+            f_small = nystrom.sparse_parts(p, X, X[order[:m_small]]).factor
+            f_big = nystrom.sparse_parts(p, X, X[order[:m_big]]).factor
             assert bounds.logdet_upper_amgm(f_big) <= bounds.logdet_upper_amgm(f_small) + 1e-8
 
 

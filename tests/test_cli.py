@@ -331,6 +331,13 @@ class TestCliCommands:
         ("train", ["--set", "optimizer.max_line_search=0"]),
         ("train", ["--set", "optimizer.memory=0"]),
         ("train", ["--set", "positivity_floor=-1e-6"]),
+        ("train", ["--set", "data.synthetic.kind=gp", "--set", "data.synthetic.variance=0"]),
+        ("train", ["--set", "data.synthetic.kind=gp",
+                   "--set", "data.synthetic.lengthscale=-1"]),
+        ("train", ["--set", "data.synthetic.kind=gp",
+                   "--set", "data.synthetic.noise_variance=-0.1"]),
+        ("train", ["--set", "data.synthetic.noise_std=-1"]),
+        ("train", ["--set", "dense_cap=0"]),
     ])
     def test_rejected_arguments_exit_2(self, tmp_path, command, extra):
         argv = [command, *extra]
@@ -362,10 +369,11 @@ class TestCliCommands:
                          "--out", str(tmp_path / "x")])
         assert code == 2
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # exact model with a dense cap below n triggers a numerical guard
+    @pytest.mark.parametrize("model", ["exact", "iterative"])
+    def test_numerical_failure_exits_3(self, tmp_path, model):
+        # a dense model with a dense cap below n triggers a numerical guard
         cfg_path = write_config(tmp_path, SINE_CFG)
-        code = cli.main(["train", "--config", cfg_path, "--set", "model=exact",
+        code = cli.main(["train", "--config", cfg_path, "--set", f"model={model}",
                          "--set", "dense_cap=10", "--out", str(tmp_path / "x")])
         assert code == 3
 

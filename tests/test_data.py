@@ -115,3 +115,10 @@ class TestSynthetic:
                                noise_variance=0.05, seed=6)
         # marginal variance of the draw is roughly variance + noise
         assert 0.4 <= ds.y.var() <= 2.5
+
+    def test_gp_draw_without_noise(self):
+        # noise_variance = 0 is in range: the draw is the latent function alone
+        clean = data.synthetic_gp(30, 1, noise_variance=0.0, seed=6)
+        noisy = data.synthetic_gp(30, 1, noise_variance=1e-4, seed=6)
+        np.testing.assert_array_equal(clean.X, noisy.X)
+        assert np.max(np.abs(clean.y - noisy.y)) <= 0.1

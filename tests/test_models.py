@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cglb import models, nystrom
+from cglb import kernels, models, nystrom
 from cglb.errors import DimensionMismatch
 from cglb.kernels import HyperParams
 from cglb.pcg import VCache
@@ -49,10 +49,20 @@ class TestExactLml:
         v1 = models.exact_lml(shifted, inst.X, inst.y + 5.0).value
         assert v1 == pytest.approx(v0, rel=1e-12)
 
-    def test_dense_cap_guard(self):
+    @pytest.mark.parametrize("objective", ["exact_lml", "iterative_lml_and_grad"])
+    def test_dense_cap_guard(self, monkeypatch, objective):
+        calls = []
+        original = kernels.kernel_with_decay
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kernel_with_decay", recording)
         p = HyperParams.from_constrained(1.0, 1.0, 1.0, 0.0, ndim=1)
-        with pytest.raises(Exception):
-            models.exact_lml(p, np.zeros((5, 1)), np.zeros(5), dense_cap=3)
+        with pytest.raises(DimensionMismatch):
+            getattr(models, objective)(p, np.zeros((5, 1)), np.zeros(5), dense_cap=3)
+        assert calls == []
 
 
 class TestExactPredict:
@@ -340,8 +350,6 @@ class TestIterativeBaseline:
                                              rng=np.random.default_rng(1))
         spread = np.abs(est.grad - est2.grad) + 1e-8
         assert np.all(np.abs(est.grad - exact.grad) <= 3.0 * spread + 1e-6 * np.abs(exact.grad) + 1e-8)
-        # value includes the dense log-det at desk scale
-        assert est.diagnostics["logdet_included"]
         assert est.value == pytest.approx(exact.value, rel=1e-6)
 
     def test_mean_gradient_matches_exact(self):

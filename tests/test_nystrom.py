@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cglb import kernels, linalg, nystrom
+from cglb import bounds, kernels, linalg, nystrom
 from cglb.errors import DimensionMismatch
 from cglb.kernels import HyperParams
 from helpers import dense_qhat, random_instance
@@ -13,22 +13,31 @@ class TestBuild:
         n = 30
         X = rng.uniform(-1, 1, (n, 2))
         p = HyperParams.from_constrained(1.5, [0.8, 1.1], 0.2, 0.0, ndim=2)
-        f = nystrom.build(X, X, p)
+        f = nystrom.sparse_parts(p, X, X).factor
         assert abs(f.trace_kff - f.trace_qff) <= 1e-8 * n
 
     def test_diagonal_factor(self):
-        f = nystrom.diagonal_factor(sigma2=0.5, n=7, trace_kff=7.0)
+        # No inducing points: Qhat = sigma^2 I, and every routine has a closed form.
+        f = nystrom.from_half_factor(np.zeros((0, 7)), 0.5, trace_kff=7.0)
         assert f.m == 0 and f.n == 7
         assert f.trace_qff == 0.0
         np.testing.assert_allclose(nystrom.solve_q(f, np.ones(7)), np.ones(7) / 0.5)
-        assert abs(nystrom.logdet_q(f) - 7 * np.log(0.5)) < 1e-12
+        b = np.arange(14.0).reshape(7, 2) - 3.0
+        b[0, 0] = -0.0
+        x = nystrom.solve_q(f, b)
+        np.testing.assert_array_equal(x, b / 0.5)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(b))
+        np.testing.assert_array_equal(nystrom.eig_q(f), np.full(7, 0.5))
+        assert nystrom.trace_qinv(f) == 7 / 0.5
+        assert nystrom.logdet_q(f) == 7 * np.log(0.5)
+        assert bounds.logdet_lower_top(f) == 7 * np.log(0.5) + np.log1p(7.0 / 0.5)
 
     def test_qff_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(-2, 2, (100, 2))
         p = HyperParams.from_constrained(1.0, [0.9, 0.7], 0.3, 0.0, ndim=2)
         Z = X[rng.choice(100, 10, replace=False)]
-        f = nystrom.build(X, Z, p)
+        f = nystrom.sparse_parts(p, X, Z).factor
         kuu = kernels.kernel_matrix(Z, Z, p)
         kuf = kernels.kernel_matrix(Z, X, p)
         qff_dense = kuf.T @ np.linalg.solve(kuu, kuf)
@@ -69,7 +78,7 @@ class TestLogdetEig:
         n = 25
         X = rng.uniform(-1, 1, (n, 2))
         p = HyperParams.from_constrained(1.2, [1.0, 0.6], 0.4, 0.0, ndim=2)
-        f = nystrom.build(X, X, p)
+        f = nystrom.sparse_parts(p, X, X).factor
         khat = kernels.kernel_matrix(X, None, p) + p.noise * np.eye(n)
         expected = linalg.cholesky(khat).logdet()
         assert abs(nystrom.logdet_q(f) - expected) <= 1e-7 * max(1.0, abs(expected))
@@ -105,8 +114,9 @@ class TestGreedySelect:
         p = HyperParams.from_constrained(1.0, [0.5, 0.5], 1.0, 0.0, ndim=2)
         sel = nystrom.greedy_select(X, p, n)
         assert sel.complete
+        assert sel.selection_order[0] == 0  # constant kernel diagonal: first argmax is row 0
         assert sorted(sel.selection_order.tolist()) == list(range(n))
-        f = nystrom.build(X, sel.Z, p)
+        f = nystrom.sparse_parts(p, X, sel.Z).factor
         assert f.trace_kff - f.trace_qff <= 1e-8 * n
 
     def test_duplicate_points_stop_early(self):
@@ -127,7 +137,7 @@ class TestGreedySelect:
         p = HyperParams.from_constrained(1.0, [0.7, 0.7], 0.1, 0.0, ndim=2)
 
         def residual(Z):
-            f = nystrom.build(X, Z, p)
+            f = nystrom.sparse_parts(p, X, Z).factor
             return f.trace_kff - f.trace_qff
 
         greedy = residual(nystrom.greedy_select(X, p, m).Z)
@@ -142,13 +152,6 @@ class TestGreedySelect:
         p = HyperParams.from_constrained(1.0, 1.0, 1.0, 0.0, ndim=1)
         with pytest.raises(DimensionMismatch):
             nystrom.greedy_select(X, p, 0)
-
-    def test_seed_index_honoured(self):
-        rng = np.random.default_rng(11)
-        X = rng.uniform(-1, 1, (15, 1))
-        p = HyperParams.from_constrained(1.0, 1.0, 1.0, 0.0, ndim=1)
-        sel = nystrom.greedy_select(X, p, 4, seed_index=7)
-        assert sel.selection_order[0] == 7
 
 
 class TestPsdOrdering:
