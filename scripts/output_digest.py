@@ -1,9 +1,10 @@
 """Print a SHA-256 digest of every deterministic CLI output at one fixed config.
 
-Trains and evaluates each model kind, writes a ``compare-bounds``
-report and runs ``check-gradients``, then prints one ``sha256  name``
-line per output. Two versions of the package compute
-the same numbers exactly when their listings are the same:
+Trains and evaluates each model kind, trains two seeds on a pool of two
+worker threads, writes a ``compare-bounds`` report and runs
+``check-gradients``, then prints one ``sha256  name`` line per output.
+Two versions of the package compute the same numbers exactly when their
+listings are the same:
 
     PYTHONPATH=src python scripts/output_digest.py --out /tmp/new > new.txt
     PYTHONPATH=/path/to/other/src python scripts/output_digest.py --out /tmp/old > old.txt
@@ -66,6 +67,15 @@ def npz_digests(path: Path) -> dict[str, str]:
     return out
 
 
+def run_digests(run_dir: Path, name: str, files: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(digest, name) of a training run's files, its trace and each model array."""
+    lines = [(sha((run_dir / file).read_bytes()), f"{name}/{file}") for file in files]
+    lines.append((trace_digest(run_dir / "trace.jsonl"), f"{name}/trace.jsonl"))
+    for key, digest in npz_digests(run_dir / "model.npz").items():
+        lines.append((digest, f"{name}/model.npz:{key}"))
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="directory for the CLI outputs")
@@ -88,11 +98,15 @@ def main() -> int:
         overrides = [arg for s in sets for arg in ("--set", s)]
         run(["train", "--config", str(cfg), *overrides, "--out", str(run_dir)])
         run(["evaluate", "--model", str(run_dir)])
-        for file in ("config.yaml", "summary.json", "metrics.json"):
-            lines.append((sha((run_dir / file).read_bytes()), f"{name}/{file}"))
-        lines.append((trace_digest(run_dir / "trace.jsonl"), f"{name}/trace.jsonl"))
-        for key, digest in npz_digests(run_dir / "model.npz").items():
-            lines.append((digest, f"{name}/model.npz:{key}"))
+        lines += run_digests(run_dir, name, ("config.yaml", "summary.json", "metrics.json"))
+
+    # The default model (cglb) on the thread-pool path of a multi-seed run.
+    pool_dir = out / "pool"
+    run(["train", "--config", str(cfg), "--seeds", "2", "--workers", "2",
+         "--out", str(pool_dir)])
+    for seed_dir in sorted(pool_dir.glob("seed-*")):
+        lines += run_digests(seed_dir, f"pool/{seed_dir.name}",
+                             ("config.yaml", "summary.json"))
 
     bounds_csv = out / "bounds.csv"
     run(["compare-bounds", "--config", str(cfg), "--out", str(bounds_csv)])

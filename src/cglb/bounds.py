@@ -77,11 +77,10 @@ def water_fill(levels: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     levels = np.asarray(levels, dtype=np.float64)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if budget == 0.0:
-        return np.zeros_like(levels), float(np.min(levels)) if levels.size else 0.0
+    if levels.size == 0:
+        raise ValueError("levels must hold at least one channel")
     asc = np.sort(levels)
     csum = np.cumsum(asc)
-    nu = asc[0] + budget  # k = 1 fallback
     for k in range(1, levels.size + 1):
         cand = (budget + csum[k - 1]) / k
         if k == levels.size or cand <= asc[k]:

@@ -60,6 +60,8 @@ def _run_single_training(cfg: config_mod.RunConfig, out: Path) -> dict:
 def cmd_train(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = config_mod.load_config(args.config, args.set)
     out = Path(args.out or cfg.output_dir)
     if args.seeds == 1:

@@ -8,11 +8,14 @@ reproduce a run.
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
+from .data import GP_FLOOR
 from .errors import ConfigError
 from .models import DENSE_CAP
 from .optimizer import OptimizerConfig
@@ -21,6 +24,9 @@ from .optimizer import OptimizerConfig
 OptimizerSection = OptimizerConfig
 
 MODEL_KINDS = ("exact", "sgpr", "cglb", "iterative")
+
+# A YAML 1.2 number with an exponent, such as 1e-4, 1E-4 or -2e+3.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
 
 
 @dataclass
@@ -103,8 +109,9 @@ class RunConfig:
             return
         if spec.kind not in ("sine", "gp"):
             raise ConfigError("data.synthetic.kind must be 'sine' or 'gp'")
-        if spec.variance <= 0 or spec.lengthscale <= 0:
-            raise ConfigError("data.synthetic.variance and lengthscale must be positive")
+        if spec.variance <= GP_FLOOR or spec.lengthscale <= GP_FLOOR:
+            raise ConfigError("data.synthetic.variance and lengthscale must exceed "
+                              f"the generator's floor {GP_FLOOR}")
         if spec.noise_variance < 0 or spec.noise_std < 0:
             raise ConfigError("data.synthetic.noise_variance and noise_std must be >= 0")
 
@@ -123,8 +130,12 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
             raise ConfigError(f"{path}: expected a mapping")
         return _from_dict(hint, value, path)
     if hint is float:
+        if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+            value = float(value)  # YAML 1.1 reads 1e-4 as a string
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -148,6 +148,11 @@ def synthetic_sine(n: int, d: int, noise_std: float = 0.1, seed: int = 0) -> Dat
     return Dataset(X=X, y=y, feature_names=[f"x{j + 1}" for j in range(d)])
 
 
+# Positivity floor of synthetic_gp's generating parameters: variance and
+# lengthscale must exceed it.
+GP_FLOOR = 1e-6
+
+
 def synthetic_gp(
     n: int,
     d: int,
@@ -164,7 +169,8 @@ def synthetic_gp(
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, (n, d))
     # K_ff does not read the noise; it is added to y below, so noise_variance = 0 works.
-    params = HyperParams.from_constrained(variance, lengthscale, 1.0, mean, ndim=d)
+    params = HyperParams.from_constrained(variance, lengthscale, 1.0, mean, ndim=d,
+                                          floor=GP_FLOOR)
     k = kernels.kernel_matrix(X, None, params)
     chol = np.linalg.cholesky(k + 1e-10 * np.eye(n))
     y = chol @ rng.standard_normal(n)

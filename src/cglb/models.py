@@ -85,6 +85,17 @@ def require_dense(n: int, dense_cap: int) -> None:
         raise DimensionMismatch(f"n={n} exceeds the dense cap {dense_cap}")
 
 
+def _dense_pair_sens(X: np.ndarray, params: HyperParams, kff: np.ndarray, decay: np.ndarray,
+                     left: np.ndarray, right: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sensitivities to (variance, lengthscales) of sum_p left_p.T K_ff right_p.
+
+    ``left`` and ``right`` are (n,) or (n, k) with one column per p;
+    ``kff, decay`` come from ``kernels.kernel_with_decay(X, None, params)``.
+    """
+    s_var = float(np.vdot(left, kff @ right)) / params.variance
+    return s_var, kernels.lengthscale_grad_contract(X, params, decay, left, right)
+
+
 def _raw_grad(params: HyperParams, s_var: float, s_ls: np.ndarray, s_noise: float,
               s_mean: float) -> np.ndarray:
     """Sensitivities to (variance, lengthscales, noise, mean), chained to the raw vector."""
@@ -163,35 +174,28 @@ def _assemble_sparse_grad(
     g_diag: float,
     s_sigma2: float,
     s_mu0: float,
-    ff_pair: tuple[np.ndarray, np.ndarray] | None = None,
-    kff: np.ndarray | None = None,
-    decay_ff: np.ndarray | None = None,
+    dense: tuple[float, np.ndarray | float] = (0.0, 0.0),
 ) -> np.ndarray:
     """Chain block sensitivities to the packed (theta, Z) gradient.
 
     ``g_uf``/``g_uu`` weight entrywise perturbations of K_uf and K_uu,
     ``g_diag`` each entry of diag(K_ff), ``s_sigma2``/``s_mu0`` the
-    direct noise/mean paths. ``ff_pair = (left, right)`` adds the
-    left.T dK_ff right contribution of objectives that touch K_ff
-    densely (requires ``kff`` and ``decay_ff``).
+    direct noise/mean paths. ``dense`` is the (variance, lengthscales)
+    sensitivity of a term that touches K_ff densely, from
+    ``_dense_pair_sens``; the sparse-only objectives have none.
     """
     sf2 = params.variance
     decay_zx = parts.decay_zx
     decay_zz = parts.decay_zz
     s_var = (float(np.sum(g_uf * parts.kuf)) + float(np.sum(g_uu * parts.kuu))) / sf2
     s_var += g_diag * X.shape[0]
-    if ff_pair is not None:
-        left, right = ff_pair
-        s_var += float(left @ (kff @ right)) / sf2
-        ff_terms = kernels.lengthscale_grad_contract(X, params, decay_ff, left, right)
+    s_var += dense[0]
     s_ls = np.empty(params.ndim)
     for j in range(params.ndim):
         duf = kernels.lengthscale_grad(Z, X, params, j, decay=decay_zx)
         duu = kernels.lengthscale_grad(Z, Z, params, j, decay=decay_zz)
-        acc = float(np.sum(g_uf * duf)) + float(np.sum(g_uu * duu))
-        if ff_pair is not None:
-            acc += float(ff_terms[j])
-        s_ls[j] = acc
+        s_ls[j] = float(np.sum(g_uf * duf)) + float(np.sum(g_uu * duu))
+    s_ls += dense[1]
     grad = _raw_grad(params, s_var, s_ls, s_sigma2, s_mu0)
 
     dzx = kernels.input_grad(Z, X, params, decay=decay_zx)
@@ -364,7 +368,7 @@ def cglb_objective(
     # u.T dK v from the residual plus 0.5 v.T dK v from the lower quadratic bound.
     grad = _assemble_sparse_grad(
         params, X, Z, parts, g_uf, g_uu, g_diag, s_sigma2, s_mu0,
-        ff_pair=(u + 0.5 * v, v), kff=kff, decay_ff=decay_ff,
+        dense=_dense_pair_sens(X, params, kff, decay_ff, u + 0.5 * v, v),
     )
     return Objective(
         value=value,
@@ -461,22 +465,13 @@ def iterative_lml_and_grad(
         solves[i] = st.v
         total_cg += st.iters
 
-    dk0 = kff / params.variance
-    # mean over probes of s_i.T dK p_i, s_i ~ Khat^{-1} p_i
-    trace0 = float(np.mean(np.einsum("ij,jk,ik->i", solves, dk0, p_mat)))
-    # 0.5 alpha.T dK alpha - 0.5 * trace estimate, for every lengthscale at once
+    # 0.5 alpha.T dKhat alpha - 0.5 * the probe mean of s_i.T dKhat p_i, s_i ~ Khat^{-1} p_i
     left = np.column_stack([0.5 * alpha, (-0.5 / probes) * solves.T])
     right = np.column_stack([alpha, p_mat.T])
+    s_var, s_ls = _dense_pair_sens(X, params, kff, decay, left, right)
     # dKhat/dsigma2 = I
-    trace_noise = float(np.mean(np.sum(solves * p_mat, axis=1)))
-    grad = _raw_grad(
-        params,
-        0.5 * float(alpha @ dk0 @ alpha) - 0.5 * trace0,
-        kernels.lengthscale_grad_contract(X, params, decay, left, right),
-        0.5 * float(alpha @ alpha) - 0.5 * trace_noise,
-        float(np.sum(alpha)),
-    )
+    grad = _raw_grad(params, s_var, s_ls, float(np.vdot(left, right)), float(np.sum(alpha)))
 
-    logdet = linalg.cholesky(kff + sigma2 * np.eye(n)).logdet()
+    logdet = khat_solve(params, kff, y)[0].logdet()
     return Objective(value=bounds.gaussian_lml(n, float(yc @ alpha), logdet), grad=grad,
                      diagnostics={"cg_iters": total_cg, "probes": probes})

@@ -66,14 +66,14 @@ def minimize(
     f: ValueAndGrad,
     x0: np.ndarray,
     cfg: OptimizerConfig = OptimizerConfig(),
-    diagnostics: Callable[[], dict] | None = None,
+    on_step: Callable[[TraceEntry], None] | None = None,
 ) -> MinimizeResult:
     """Minimise f from x0; returns the best point and a per-step trace.
 
-    ``diagnostics``, when given, is polled after every accepted step and
-    its dict becomes that step's trace-entry extras (used to record CG
-    iteration counts from the objective). The trace has one entry per
-    accepted step plus the initial point.
+    The trace has one entry per accepted step plus the initial point.
+    ``on_step``, when given, is called with each entry as soon as it is
+    made, before the next step starts, and may add to ``entry.extras``;
+    so a caller streaming the entries keeps them if a later step raises.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     n_evals = 0
@@ -101,18 +101,20 @@ def minimize(
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise NonFiniteObjective(f"objective not finite at the initial point: {value}")
 
-    def entry(step: int) -> TraceEntry:
-        extras = diagnostics() if diagnostics is not None else {}
-        return TraceEntry(
+    def record(step: int) -> None:
+        entry = TraceEntry(
             step=step,
             value=value,
             grad_norm=float(np.max(np.abs(grad))),
             elapsed_s=time.perf_counter() - start,
             x=x.copy(),
-            extras=extras,
         )
+        if on_step is not None:
+            on_step(entry)
+        trace.append(entry)
 
-    trace = [entry(0)]
+    trace: list[TraceEntry] = []
+    record(0)
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
@@ -147,11 +149,8 @@ def minimize(
         x_new = x + alpha * direction
         value_new, grad_new = eval_fg(x_new)
         if not np.isfinite(value_new) or not np.all(np.isfinite(grad_new)):
-            exc = NonFiniteObjective(
-                f"objective not finite at step {step} (value {value_new})"
-            )
-            exc.trace = trace  # partial trace up to the failure, for diagnostics
-            raise exc
+            raise NonFiniteObjective(
+                f"objective not finite at step {step} (value {value_new})")
         s = x_new - x
         yv = grad_new - grad
         sy = float(s @ yv)
@@ -162,7 +161,7 @@ def minimize(
             if len(s_hist) > cfg.memory:
                 s_hist.pop(0); y_hist.pop(0); rho_hist.pop(0)
         x, value, grad = x_new, value_new, grad_new
-        trace.append(entry(step))
+        record(step)
 
     if reason == "max_steps" and float(np.max(np.abs(grad))) <= cfg.grad_tol:
         reason = "grad_tol"

@@ -54,12 +54,14 @@ def initial_params(cfg: RunConfig, d: int) -> HyperParams:
 
 
 def _make_objective(cfg: RunConfig, kind: str, X, y, template: HyperParams,
-                    m: int | None, cache: VCache):
-    """Returns (closure minimising the negated bound, diagnostics provider).
+                    m: int | None, cache: VCache, trace_sink=None):
+    """Returns (closure minimising the negated bound, ``on_step`` for ``minimize``).
 
     ``m`` is None for the models without inducing points. Each entry looks
     ``models.<objective>`` up when called, so a replacement installed on
-    the module (e.g. a timing wrapper) is the one that runs.
+    the module (e.g. a timing wrapper) is the one that runs. ``on_step``
+    records the CG iterations spent since the previous step in the
+    entry's extras and hands the step's record to ``trace_sink``.
     """
     objectives = {
         "exact": lambda p, Z: models.exact_lml(p, X, y, dense_cap=cfg.dense_cap),
@@ -75,19 +77,22 @@ def _make_objective(cfg: RunConfig, kind: str, X, y, template: HyperParams,
     if kind not in objectives:
         raise ConfigError(f"unknown model kind {kind!r}")
     objective = objectives[kind]
-    counters = {"cg_iters": 0}
+    cg_iters = 0
 
     def fun(vec):
+        nonlocal cg_iters
         obj = objective(*models.unpack_params(template, vec, m=m))
-        counters["cg_iters"] += obj.diagnostics.get("cg_iters", 0)
+        cg_iters += obj.diagnostics.get("cg_iters", 0)
         return -obj.value, -obj.grad
 
-    def diagnostics() -> dict:
-        out = {"cg_iters": counters["cg_iters"]}
-        counters["cg_iters"] = 0
-        return out
+    def on_step(entry: optimizer.TraceEntry) -> None:
+        nonlocal cg_iters
+        entry.extras["cg_iters"] = cg_iters
+        cg_iters = 0
+        if trace_sink is not None:
+            trace_sink(trace_record(entry, template, m))
 
-    return fun, diagnostics
+    return fun, on_step
 
 
 def theta_record(params: HyperParams) -> dict:
@@ -117,8 +122,9 @@ def train(cfg: RunConfig, train_set: Dataset, trace_sink=None
           ) -> tuple[TrainedModel, optimizer.MinimizeResult]:
     """Fit the configured model; streams one record per accepted step.
 
-    On optimiser/model failure the records already emitted to
-    ``trace_sink`` stand; the exception propagates.
+    Each record reaches ``trace_sink`` before the next step starts, so on
+    optimiser/model failure the records of every accepted step stand;
+    the exception propagates.
     """
     X, y = train_set.X, train_set.y
     template = initial_params(cfg, train_set.d)
@@ -127,12 +133,9 @@ def train(cfg: RunConfig, train_set: Dataset, trace_sink=None
         Z0 = nystrom.greedy_select(X, template, min(cfg.m, train_set.n)).Z
         m = Z0.shape[0]
     cache = VCache()
-    fun, diagnostics = _make_objective(cfg, cfg.model, X, y, template, m, cache)
+    fun, on_step = _make_objective(cfg, cfg.model, X, y, template, m, cache, trace_sink)
     x0 = models.pack_params(template, Z0)
-    result = optimizer.minimize(fun, x0, cfg.optimizer, diagnostics=diagnostics)
-    if trace_sink is not None:
-        for entry in result.trace:
-            trace_sink(trace_record(entry, template, m))
+    result = optimizer.minimize(fun, x0, cfg.optimizer, on_step=on_step)
 
     params, Z = models.unpack_params(template, result.x, m=m)
     v = r = None
@@ -261,18 +264,10 @@ def gradient_check_report(seed: int = 0) -> dict[str, float]:
     chol = np.linalg.cholesky(kff + params.noise * np.eye(n) + 1e-12 * np.eye(n))
     y = chol @ rng.standard_normal(n) + params.mean
     Z = X[rng.choice(n, m, replace=False)].copy()
-
-    def f_exact(vec):
-        p, _ = models.unpack_params(params, vec)
-        obj = models.exact_lml(p, X, y)
-        return obj.value, obj.grad
-
-    def f_elbo(vec):
-        p, Zv = models.unpack_params(params, vec, m=m)
-        obj = models.elbo(p, Zv, X, y)
-        return obj.value, obj.grad
-
     cache = VCache()
+    # The closures training minimises: they negate the bound, which leaves the errors exact.
+    exact_fun = _make_objective(RunConfig(), "exact", X, y, params, None, cache)[0]
+    elbo_fun = _make_objective(RunConfig(), "sgpr", X, y, params, m, cache)[0]
     base = models.cglb_objective(params, Z, X, y, cache, eps=1e-12)
     v_frozen = cache.last_v
 
@@ -282,8 +277,8 @@ def gradient_check_report(seed: int = 0) -> dict[str, float]:
         return models.cglb_value_fixed_v(p, Zv, X, y, v_frozen), base.grad
 
     return {
-        "exact": optimizer.check_grad(f_exact, models.pack_params(params), seed=seed),
-        "elbo": optimizer.check_grad(f_elbo, models.pack_params(params, Z), seed=seed),
+        "exact": optimizer.check_grad(exact_fun, models.pack_params(params), seed=seed),
+        "elbo": optimizer.check_grad(elbo_fun, models.pack_params(params, Z), seed=seed),
         "cglb": optimizer.check_grad(f_cglb, models.pack_params(params, Z), seed=seed + 1),
     }
 

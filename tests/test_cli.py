@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from cglb import cli, config, data, kernels, models, nystrom, training
-from cglb.errors import ConfigError
+from cglb.errors import ConfigError, NotPositiveDefinite
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -63,6 +63,16 @@ class TestConfig:
     def test_bound_draws_must_be_positive(self, draws):
         with pytest.raises(ConfigError, match="bound_draws"):
             config.config_from_dict({"bound_draws": draws, "data": {"synthetic": {}}})
+
+    def test_exponent_float_without_dot(self, tmp_path):
+        # YAML 1.1 reads 1e-4 as a string; it loads as the number 1.0e-4 does.
+        dotted = config.load_config(write_config(tmp_path, SINE_CFG + "eps_predict: 1.0e-4\n"))
+        from_file = config.load_config(
+            write_config(tmp_path, SINE_CFG + "eps_predict: 1e-4\n", "exp.yaml"))
+        from_set = config.load_config(write_config(tmp_path, SINE_CFG, "base.yaml"),
+                                      ["eps_predict=1e-4"])
+        assert dotted.eps_predict == 1e-4
+        assert from_file == dotted and from_set == dotted
 
     def test_overrides(self):
         payload = {"data": {"synthetic": {}}}
@@ -338,6 +348,19 @@ class TestCliCommands:
                    "--set", "data.synthetic.noise_variance=-0.1"]),
         ("train", ["--set", "data.synthetic.noise_std=-1"]),
         ("train", ["--set", "dense_cap=0"]),
+        ("train", ["--workers", "0"]),
+        ("train", ["--seeds", "2", "--workers", "-3"]),
+        # non-finite floats: PCG cannot meet a NaN tolerance
+        ("train", ["--set", "eps_predict=.nan"]),
+        ("train", ["--set", "eps_train=.inf"]),
+        ("train", ["--set", "iterative.cg_tol=.nan"]),
+        ("train", ["--set", "optimizer.grad_tol=.nan"]),
+        ("train", ["--set", "positivity_floor=.nan"]),
+        # at or below the generator's positivity floor
+        ("train", ["--set", "data.synthetic.kind=gp",
+                   "--set", "data.synthetic.variance=0.0000001"]),
+        ("train", ["--set", "data.synthetic.kind=gp",
+                   "--set", "data.synthetic.lengthscale=1e-6"]),
     ])
     def test_rejected_arguments_exit_2(self, tmp_path, command, extra):
         argv = [command, *extra]
@@ -388,6 +411,44 @@ class TestCliCommands:
         s1 = json.loads((out / "seed-1" / "summary.json").read_text())
         s2 = json.loads((out / "seed-2" / "summary.json").read_text())
         assert s1["seed"] == 1 and s2["seed"] == 2
+
+    def test_worker_pool_matches_sequential(self, tmp_path):
+        cfg_path = write_config(tmp_path, SINE_CFG)
+        for workers in ("1", "2"):
+            assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / workers),
+                             "--set", "optimizer.max_steps=3", "--seeds", "2",
+                             "--workers", workers]) == 0
+        for seed in (1, 2):
+            one, two = (tmp_path / workers / f"seed-{seed}" for workers in ("1", "2"))
+            assert (one / "summary.json").read_bytes() == (two / "summary.json").read_bytes()
+            # array by array: the zip members of model.npz carry a write time
+            with np.load(one / "model.npz") as a, np.load(two / "model.npz") as b:
+                assert a.files == b.files
+                for key in a.files:
+                    assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
+                    assert a[key].tobytes() == b[key].tobytes()
+
+    def test_failed_run_keeps_streamed_trace(self, tmp_path, monkeypatch):
+        # Every accepted step's record is on disk before the next step starts.
+        elbo = models.elbo
+        calls = 0
+
+        def failing(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 9:
+                raise NotPositiveDefinite("forced at the 9th evaluation")
+            return elbo(*args, **kwargs)
+
+        monkeypatch.setattr(models, "elbo", failing)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", write_config(tmp_path, SINE_CFG),
+                         "--set", "model=sgpr", "--set", "data.synthetic.n=90",
+                         "--out", str(out)])
+        assert code == 3
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert len(records) >= 2
+        assert [r["step"] for r in records] == list(range(len(records)))
 
     def test_csv_input_end_to_end(self, tmp_path):
         ds = data.synthetic_sine(60, 2, seed=9)

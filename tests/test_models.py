@@ -4,7 +4,7 @@ import pytest
 from cglb import kernels, models, nystrom
 from cglb.errors import DimensionMismatch
 from cglb.kernels import HyperParams
-from cglb.pcg import VCache
+from cglb.pcg import VCache, cg_solve_euclidean
 from helpers import random_instance
 
 
@@ -334,6 +334,36 @@ class TestIterativeBaseline:
                                           cg_tol=1e-8, rng=np.random.default_rng(3))
         assert a.value == b.value
         np.testing.assert_array_equal(a.grad, b.grad)
+
+    @pytest.mark.parametrize("n", [30, 120])
+    @pytest.mark.parametrize("probes", [1, 7])
+    def test_gradient_matches_per_term_oracle(self, n, probes):
+        # Oracle: each term formed on its own, with an n x n K_ff / sigma_f^2,
+        # a three-operand einsum per probe and a dense derivative per lengthscale.
+        inst = random_instance(np.random.default_rng(n + probes), n=n)
+        params, X = inst.params, inst.X
+        est = models.iterative_lml_and_grad(params, X, inst.y, probes=probes, cg_tol=1e-2,
+                                            rng=np.random.default_rng(4))
+
+        kff, decay = kernels.kernel_with_decay(X, None, params)
+        matvec = lambda p: kff @ p + params.noise * p  # noqa: E731
+        alpha = cg_solve_euclidean(matvec, inst.y - params.mean, tol=1e-2).v
+        rng = np.random.default_rng(4)
+        p_mat = rng.integers(0, 2, size=(probes, n)).astype(np.float64) * 2.0 - 1.0
+        solves = np.array([cg_solve_euclidean(matvec, p, tol=1e-2).v for p in p_mat])
+        dk0 = kff / params.variance
+        trace0 = float(np.mean(np.einsum("ij,jk,ik->i", solves, dk0, p_mat)))
+        s_ls = []
+        for j in range(params.ndim):
+            dk = kernels.lengthscale_grad(X, X, params, j, decay=decay)
+            s_ls.append(0.5 * float(alpha @ dk @ alpha)
+                        - 0.5 * float(np.mean(np.einsum("ij,jk,ik->i", solves, dk, p_mat))))
+        trace_noise = float(np.mean(np.sum(solves * p_mat, axis=1)))
+        sens = np.concatenate([[0.5 * float(alpha @ dk0 @ alpha) - 0.5 * trace0], s_ls,
+                               [0.5 * float(alpha @ alpha) - 0.5 * trace_noise,
+                                float(np.sum(alpha))]])
+        oracle = sens * params.transform_jacobian()
+        np.testing.assert_allclose(est.grad, oracle, rtol=1e-12)
 
     def test_tight_tolerance_matches_exact_gradient(self):
         rng = np.random.default_rng(22)

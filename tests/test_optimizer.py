@@ -71,19 +71,43 @@ class TestMinimize:
         with pytest.raises(NonFiniteObjective):
             optimizer.minimize(fun, np.zeros(1), OptimizerConfig())
 
-    def test_diagnostics_merged_into_trace(self):
-        calls = {"k": 0}
+    def test_on_step_streams_entries_in_order(self):
+        seen = []
 
         def fun(x):
-            return float(x @ x), 2.0 * x
+            return float(np.cosh(x).sum()), np.sinh(x)
 
-        def diag():
-            calls["k"] += 1
-            return {"tick": calls["k"]}
+        def on_step(entry):
+            seen.append(entry)
+            entry.extras["tick"] = len(seen)
 
-        res = optimizer.minimize(fun, np.ones(2), OptimizerConfig(max_steps=30),
-                                 diagnostics=diag)
-        assert all("tick" in e.extras for e in res.trace)
+        res = optimizer.minimize(fun, np.array([2.0, -3.0, 0.5]),
+                                 OptimizerConfig(max_steps=30), on_step=on_step)
+        assert len(res.trace) > 2
+        # each entry once, in step order, and what on_step added stays on the trace
+        assert len(seen) == len(res.trace)
+        assert all(a is b for a, b in zip(seen, res.trace))
+        assert [e.step for e in seen] == list(range(len(seen)))
+        assert [e.extras["tick"] for e in res.trace] == list(range(1, len(seen) + 1))
+
+    def test_on_step_sees_steps_before_a_failure(self):
+        # The entries reach on_step before minimize returns, so a caller
+        # streaming them keeps every accepted step when a later one raises.
+        evals = 0
+
+        def fun(x):
+            nonlocal evals
+            evals += 1
+            if evals == 8:
+                raise RuntimeError("forced failure")
+            return float(np.cosh(x).sum()), np.sinh(x)
+
+        steps = []
+        with pytest.raises(RuntimeError, match="forced failure"):
+            optimizer.minimize(fun, np.array([2.0, -3.0, 0.5]), OptimizerConfig(max_steps=30),
+                               on_step=lambda entry: steps.append(entry.step))
+        assert len(steps) >= 2
+        assert steps == list(range(len(steps)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

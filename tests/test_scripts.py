@@ -50,4 +50,6 @@ def test_output_digest_is_reproducible(tmp_path):
     for kind in ("exact", "sgpr", "cglb", "iterative"):
         for file in ("summary.json", "metrics.json", "trace.jsonl", "model.npz:theta"):
             assert f"{kind}/{file}" in names
+    for seed in (0, 1):
+        assert f"pool/seed-{seed}/summary.json" in names
     assert {"bounds.csv", "check-gradients.txt"} <= names
