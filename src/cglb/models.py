@@ -24,7 +24,7 @@ from . import bounds, kernels, linalg, nystrom
 from .errors import DimensionMismatch
 from .kernels import HyperParams
 from .nystrom import SparseParts
-from .pcg import CGState, VCache, cg_solve_euclidean, pcg_solve, warm_start
+from .pcg import CGState, MatVec, VCache, cg_solve_euclidean, pcg_solve, warm_start
 
 VARIANCE_CLAMP = 1e-12
 DENSE_CAP = 20000
@@ -85,15 +85,15 @@ def require_dense(n: int, dense_cap: int) -> None:
         raise DimensionMismatch(f"n={n} exceeds the dense cap {dense_cap}")
 
 
-def _dense_pair_sens(X: np.ndarray, params: HyperParams, kff: np.ndarray, decay: np.ndarray,
+def _dense_pair_sens(X: np.ndarray, params: HyperParams, packed: np.ndarray,
                      left: np.ndarray, right: np.ndarray) -> tuple[float, np.ndarray]:
     """Sensitivities to (variance, lengthscales) of sum_p left_p.T K_ff right_p.
 
     ``left`` and ``right`` are (n,) or (n, k) with one column per p;
-    ``kff, decay`` come from ``kernels.kernel_with_decay(X, None, params)``.
+    ``packed`` is ``kernels.kernel_with_decay(X, None, params)``.
     """
-    s_var = float(np.vdot(left, kff @ right)) / params.variance
-    return s_var, kernels.lengthscale_grad_contract(X, params, decay, left, right)
+    s_var = float(np.vdot(left, kernels.kernel_times(packed, right))) / params.variance
+    return s_var, kernels.lengthscale_grad_contract(X, params, packed, left, right)
 
 
 def _raw_grad(params: HyperParams, s_var: float, s_ls: np.ndarray, s_noise: float,
@@ -112,7 +112,7 @@ def exact_lml(params: HyperParams, X, y, dense_cap: int = DENSE_CAP) -> Objectiv
     X, y = _validate_xy(X, y, params)
     n = y.size
     require_dense(n, dense_cap)
-    kff, decay = kernels.kernel_with_decay(X, None, params)
+    kff, decay = kernels.kernel_with_decay(X, X, params)
     chol, alpha = khat_solve(params, kff, y)
     logdet = chol.logdet()
     quad = float((y - params.mean) @ alpha)
@@ -289,14 +289,17 @@ def sgpr_predict(params: HyperParams, Z, X, y, Xs) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def solve_v(parts: SparseParts, kff: np.ndarray, yc: np.ndarray,
+def solve_v(parts: SparseParts, kff_times: MatVec, yc: np.ndarray,
             cache: VCache | None, eps: float, max_iters: int | None) -> CGState:
-    """Qhat-preconditioned CG for Khat v = yc, warm-started from and stored to ``cache``."""
+    """Qhat-preconditioned CG for Khat v = yc, warm-started from and stored to ``cache``.
+
+    ``kff_times(p)`` returns K_ff @ p.
+    """
     if cache is None:
         cache = VCache()
     sigma2 = parts.factor.sigma2
     state = pcg_solve(
-        matvec=lambda p: kff @ p + sigma2 * p,
+        matvec=lambda p: kff_times(p) + sigma2 * p,
         precond=lambda rr: nystrom.solve_q(parts.factor, rr),
         y=yc,
         v0=warm_start(cache, yc.size),
@@ -335,20 +338,24 @@ def cglb_objective(
     cache: VCache | None = None,
     eps: float = 1.0,
     max_iters: int | None = None,
+    dense_cap: int = DENSE_CAP,
 ) -> Objective:
     """CGLB value and gradient; v comes from warm-started preconditioned CG.
 
     The gradient holds v fixed at its converged value. The returned
     diagnostics record the CG iteration count consumed by this
     evaluation, the final quadratic-bound gap, and the bound components.
+    K_ff and its decay factor share one n x n array, read through
+    ``dsymv``/``dsymm``.
     """
+    require_dense(np.size(y), dense_cap)
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     n = y.size
     f = parts.factor
     sigma2 = params.noise
     yc = y - params.mean
-    kff, decay_ff = kernels.kernel_with_decay(X, None, params)
-    state = solve_v(parts, kff, yc, cache, eps, max_iters)
+    packed = kernels.kernel_with_decay(X, None, params)
+    state = solve_v(parts, lambda p: kernels.kernel_times(packed, p), yc, cache, eps, max_iters)
     v, r, u, gap = state.v, state.r, state.z, state.gap
 
     quad_upper = bounds.quad_lower(yc, v, r) + gap
@@ -368,7 +375,7 @@ def cglb_objective(
     # u.T dK v from the residual plus 0.5 v.T dK v from the lower quadratic bound.
     grad = _assemble_sparse_grad(
         params, X, Z, parts, g_uf, g_uu, g_diag, s_sigma2, s_mu0,
-        dense=_dense_pair_sens(X, params, kff, decay_ff, u + 0.5 * v, v),
+        dense=_dense_pair_sens(X, params, packed, u + 0.5 * v, v),
     )
     return Objective(
         value=value,
@@ -413,12 +420,13 @@ def cglb_predict(params: HyperParams, Z, X, y, v, Xs, r=None) -> Prediction:
 
 def cglb_prediction_vector(
     params: HyperParams, Z, X, y, cache: VCache | None = None,
-    eps: float = 1e-3, max_iters: int | None = None,
+    eps: float = 1e-3, max_iters: int | None = None, dense_cap: int = DENSE_CAP,
 ) -> CGState:
     """Solve for the v used at prediction time (tighter eps than training)."""
+    require_dense(np.size(y), dense_cap)
     X, y, Z, parts = _sparse_inputs(params, Z, X, y)
     kff = kernels.kernel_matrix(X, None, params)
-    return solve_v(parts, kff, y - params.mean, cache, eps, max_iters)
+    return solve_v(parts, lambda p: kff @ p, y - params.mean, cache, eps, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +459,7 @@ def iterative_lml_and_grad(
     n = y.size
     require_dense(n, dense_cap)
     sigma2 = params.noise
-    kff, decay = kernels.kernel_with_decay(X, None, params)
+    kff = kernels.kernel_matrix(X, None, params)
     matvec = lambda p: kff @ p + sigma2 * p  # noqa: E731
     yc = y - params.mean
 
@@ -468,7 +476,8 @@ def iterative_lml_and_grad(
     # 0.5 alpha.T dKhat alpha - 0.5 * the probe mean of s_i.T dKhat p_i, s_i ~ Khat^{-1} p_i
     left = np.column_stack([0.5 * alpha, (-0.5 / probes) * solves.T])
     right = np.column_stack([alpha, p_mat.T])
-    s_var, s_ls = _dense_pair_sens(X, params, kff, decay, left, right)
+    s_var, s_ls = _dense_pair_sens(X, params, kernels.kernel_with_decay(X, None, params),
+                                   left, right)
     # dKhat/dsigma2 = I
     grad = _raw_grad(params, s_var, s_ls, float(np.vdot(left, right)), float(np.sum(alpha)))
 

@@ -16,8 +16,15 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import line_search
+from scipy.optimize._linesearch import LineSearchWarning
 
 from .errors import NonFiniteObjective
+
+# A line search that gives up warns and returns None, which ``minimize``
+# reports as the reason "line_search_failure". The filter is installed once,
+# here: swapping the process-wide filter list around each search
+# (``warnings.catch_warnings``) races with line searches in other threads.
+warnings.filterwarnings("ignore", category=LineSearchWarning)
 
 ValueAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -130,19 +137,17 @@ def minimize(
             s_hist.clear(); y_hist.clear(); rho_hist.clear()
             direction = -grad
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # line-search convergence warnings
-            alpha, _, _, new_value, _, _ = line_search(
-                lambda xk: eval_fg(xk)[0],
-                lambda xk: eval_fg(xk)[1],
-                x,
-                direction,
-                gfk=grad,
-                old_fval=value,
-                c1=cfg.c1,
-                c2=cfg.c2,
-                maxiter=cfg.max_line_search,
-            )
+        alpha, _, _, new_value, _, _ = line_search(
+            lambda xk: eval_fg(xk)[0],
+            lambda xk: eval_fg(xk)[1],
+            x,
+            direction,
+            gfk=grad,
+            old_fval=value,
+            c1=cfg.c1,
+            c2=cfg.c2,
+            maxiter=cfg.max_line_search,
+        )
         if alpha is None or new_value is None:
             reason = "line_search_failure"
             break

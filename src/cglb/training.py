@@ -66,7 +66,8 @@ def _make_objective(cfg: RunConfig, kind: str, X, y, template: HyperParams,
     objectives = {
         "exact": lambda p, Z: models.exact_lml(p, X, y, dense_cap=cfg.dense_cap),
         "sgpr": lambda p, Z: models.elbo(p, Z, X, y),
-        "cglb": lambda p, Z: models.cglb_objective(p, Z, X, y, cache, eps=cfg.eps_train),
+        "cglb": lambda p, Z: models.cglb_objective(p, Z, X, y, cache, eps=cfg.eps_train,
+                                                   dense_cap=cfg.dense_cap),
         # Probes are redrawn from a fixed seed each call, so the objective is
         # deterministic in the parameters and L-BFGS line searches see a
         # consistent surface.
@@ -141,7 +142,7 @@ def train(cfg: RunConfig, train_set: Dataset, trace_sink=None
     v = r = None
     if cfg.model == "cglb":
         state = models.cglb_prediction_vector(
-            params, Z, X, y, cache, eps=cfg.eps_predict)
+            params, Z, X, y, cache, eps=cfg.eps_predict, dense_cap=cfg.dense_cap)
         v, r = state.v, state.r
     assert train_set.stats is not None, "train() expects a standardised split"
     model = TrainedModel(kind=cfg.model, params=params, Z=Z, v=v, X=X, y=y,
@@ -202,7 +203,7 @@ def compare_bounds_rows(cfg: RunConfig, ds: Dataset) -> list[dict]:
         parts = nystrom.sparse_parts(params, X, Z)
         kff = kernels.kernel_matrix(X, None, params)
         yc = y - params.mean
-        state = models.solve_v(parts, kff, yc, None, cfg.eps_predict, None)
+        state = models.solve_v(parts, lambda p: kff @ p, yc, None, cfg.eps_predict, None)
         report = bounds.bound_report(parts.factor, yc, state.v, state.r)
         chol, alpha = models.khat_solve(params, kff, y)
         logdet_exact = chol.logdet()

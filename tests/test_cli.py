@@ -214,6 +214,21 @@ class TestTrainDriver:
         n = model.y.size
         assert shapes and (n, n) not in shapes
 
+    def test_cglb_predict_builds_no_square_array(self, monkeypatch):
+        # The packed n x n build returns one array, whose first row the shape
+        # check above records as (n,); so count the (X, None) builds instead.
+        model, test_set = self._cglb_model()
+        square = []
+        original = kernels.kernel_with_decay
+
+        def recording(X, X2=None, params=None):
+            square.append(X2 is None)
+            return original(X, X2, params)
+
+        monkeypatch.setattr(kernels, "kernel_with_decay", recording)
+        training.predict(model, test_set.X)
+        assert square and not any(square)
+
     def test_cglb_model_roundtrip_carries_residual(self, tmp_path):
         model, test_set = self._cglb_model()
         path = tmp_path / "model.npz"
@@ -392,13 +407,25 @@ class TestCliCommands:
                          "--out", str(tmp_path / "x")])
         assert code == 2
 
-    @pytest.mark.parametrize("model", ["exact", "iterative"])
-    def test_numerical_failure_exits_3(self, tmp_path, model):
-        # a dense model with a dense cap below n triggers a numerical guard
+    @pytest.mark.parametrize("model", ["exact", "iterative", "cglb"])
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, model):
+        # a dense model with a dense cap below n fails before its n x n build
         cfg_path = write_config(tmp_path, SINE_CFG)
+        cfg = config.config_from_dict(yaml.safe_load(SINE_CFG))
+        n = data.split_standardize(training.build_dataset(cfg), cfg.split_fraction,
+                                   cfg.seed)[0].n
+        square = []
+        original = kernels.kernel_with_decay
+
+        def recording(X, X2=None, params=None):
+            square.append(X2 is None or len(X) == len(X2) == n)
+            return original(X, X2, params)
+
+        monkeypatch.setattr(kernels, "kernel_with_decay", recording)
         code = cli.main(["train", "--config", cfg_path, "--set", f"model={model}",
-                         "--set", "dense_cap=10", "--out", str(tmp_path / "x")])
+                         "--set", f"dense_cap={n - 1}", "--out", str(tmp_path / "x")])
         assert code == 3
+        assert not any(square)
 
     def test_multi_seed_training(self, tmp_path):
         cfg_path = write_config(tmp_path, SINE_CFG)

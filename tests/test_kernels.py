@@ -114,6 +114,61 @@ class TestKernelMatrix:
             kernels.kernel_diag(X, p), np.diag(kernels.kernel_matrix(X, None, p)))
 
 
+class TestPackedKernel:
+    """``kernel_with_decay(X, None, .)``: k on and above the diagonal, the decay factor below."""
+
+    @staticmethod
+    def _inputs(n, d, offset, duplicate):
+        rng = np.random.default_rng(1000 * n + d)
+        X = rng.uniform(-1.5, 1.5, (n, d)) + offset
+        if duplicate and n > 2:
+            X[n // 2] = X[0]
+            X[-1] = X[1]
+        p = HyperParams.from_constrained(float(np.exp(rng.uniform(-1.0, 1.0))),
+                                         np.exp(rng.uniform(-0.7, 0.7, d)), 0.1, ndim=d)
+        return rng, X, p
+
+    # below, at, and on either side of multiples of the strip size
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_triangles_are_the_pair_bit_for_bit(self, n, offset, duplicate):
+        _, X, p = self._inputs(n, 3, offset, duplicate)
+        k, decay = kernels.kernel_with_decay(X, X, p)
+        packed = kernels.kernel_with_decay(X, None, p)
+        assert packed.shape == (n, n) and packed.flags.c_contiguous
+        upper, lower = np.triu_indices(n), np.tril_indices(n, -1)
+        np.testing.assert_array_equal(packed[upper], k[upper])
+        np.testing.assert_array_equal(packed[lower], decay[lower])
+        full = kernels.kernel_matrix(X, None, p)
+        np.testing.assert_array_equal(full, kernels.kernel_matrix(X, X, p))
+        np.testing.assert_array_equal(full, k)
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 300])
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    def test_kernel_times_matches_full_matrix(self, n, k):
+        rng, X, p = self._inputs(n, 2, 0.0, False)
+        full = kernels.kernel_matrix(X, None, p)
+        right = rng.standard_normal(n if k is None else (n, k))
+        got = kernels.kernel_times(kernels.kernel_with_decay(X, None, p), right)
+        assert got.shape == right.shape
+        assert np.all(np.abs(got - full @ right) <= 1e-13 * (np.abs(full) @ np.abs(right)))
+
+    @pytest.mark.parametrize("n", [5, 65, 200])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_contract_reads_the_decay_triangle(self, n, k, offset):
+        # the dsymm on the packed array against the same contraction of a full decay factor
+        rng, X, p = self._inputs(n, 2, offset, True)
+        _, decay = kernels.kernel_with_decay(X, X, p)
+        left = rng.standard_normal((n, k))
+        right = rng.standard_normal((n, k))
+        got = kernels.lengthscale_grad_contract(X, p, kernels.kernel_with_decay(X, None, p),
+                                                left, right)
+        np.testing.assert_array_equal(
+            got, kernels.lengthscale_grad_contract(X, p, decay, left, right))
+
+
 class TestParamGradients:
     """Kernel partials: d k / d sigma_f^2 = k / sigma_f^2 and ``lengthscale_grad``."""
 
@@ -160,7 +215,7 @@ class TestLengthscaleContractions:
         X = rng.uniform(-1.5, 1.5, (n, d)) + offset
         p = HyperParams.from_constrained(float(np.exp(rng.uniform(-1.0, 1.0))),
                                          np.exp(rng.uniform(-0.7, 0.7, d)), 0.1, ndim=d)
-        _, decay = kernels.kernel_with_decay(X, None, p)
+        _, decay = kernels.kernel_with_decay(X, X, p)
         dense = [kernels.lengthscale_grad(X, X, p, j, decay=decay) for j in range(d)]
         return rng, X, p, decay, dense
 

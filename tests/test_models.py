@@ -49,7 +49,8 @@ class TestExactLml:
         v1 = models.exact_lml(shifted, inst.X, inst.y + 5.0).value
         assert v1 == pytest.approx(v0, rel=1e-12)
 
-    @pytest.mark.parametrize("objective", ["exact_lml", "iterative_lml_and_grad"])
+    @pytest.mark.parametrize("objective", ["exact_lml", "iterative_lml_and_grad",
+                                           "cglb_objective", "cglb_prediction_vector"])
     def test_dense_cap_guard(self, monkeypatch, objective):
         calls = []
         original = kernels.kernel_with_decay
@@ -60,8 +61,11 @@ class TestExactLml:
 
         monkeypatch.setattr(kernels, "kernel_with_decay", recording)
         p = HyperParams.from_constrained(1.0, 1.0, 1.0, 0.0, ndim=1)
+        inputs = (np.zeros((5, 1)), np.zeros(5))
+        if objective.startswith("cglb"):  # these take the inducing inputs first
+            inputs = (np.zeros((2, 1)), *inputs)
         with pytest.raises(DimensionMismatch):
-            getattr(models, objective)(p, np.zeros((5, 1)), np.zeros(5), dense_cap=3)
+            getattr(models, objective)(p, *inputs, dense_cap=3)
         assert calls == []
 
 
@@ -345,7 +349,7 @@ class TestIterativeBaseline:
         est = models.iterative_lml_and_grad(params, X, inst.y, probes=probes, cg_tol=1e-2,
                                             rng=np.random.default_rng(4))
 
-        kff, decay = kernels.kernel_with_decay(X, None, params)
+        kff, decay = kernels.kernel_with_decay(X, X, params)
         matvec = lambda p: kff @ p + params.noise * p  # noqa: E731
         alpha = cg_solve_euclidean(matvec, inst.y - params.mean, tol=1e-2).v
         rng = np.random.default_rng(4)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize._linesearch import LineSearchWarning
 
 from cglb import models, optimizer
 from cglb.errors import NonFiniteObjective
@@ -108,6 +115,46 @@ class TestMinimize:
                                on_step=lambda entry: steps.append(entry.step))
         assert len(steps) >= 2
         assert steps == list(range(len(steps)))
+
+    def test_line_search_leaves_warning_filters_alone(self, monkeypatch):
+        # Swapping the process-wide filter list around each search races with
+        # searches in other threads; minimize must not touch it.
+        before = warnings.filters
+        seen = []
+
+        def failing_search(*args, **kwargs):
+            seen.append(warnings.filters is before)
+            warnings.warn("The line search algorithm did not converge", LineSearchWarning)
+            return None, 0, 0, None, None, None
+
+        monkeypatch.setattr(optimizer, "line_search", failing_search)
+        res = optimizer.minimize(lambda x: (float(x @ x), 2.0 * x), np.ones(2))
+        assert res.reason == "line_search_failure"
+        assert seen == [True]
+        assert warnings.filters is before
+
+    def test_line_search_warning_silenced_on_import(self):
+        # pytest resets warning filters after collection, so import in a fresh process.
+        code = "\n".join([
+            "import warnings",
+            "import numpy as np",
+            "from scipy.optimize._linesearch import LineSearchWarning",
+            "from cglb import optimizer",
+            "def failing_search(*args, **kwargs):",
+            "    warnings.warn('The line search algorithm did not converge', LineSearchWarning)",
+            "    return None, 0, 0, None, None, None",
+            "optimizer.line_search = failing_search",
+            "res = optimizer.minimize(lambda x: (float(x @ x), 2.0 * x), np.ones(2))",
+            "assert res.reason == 'line_search_failure'",
+            "warnings.warn('other warnings still show', RuntimeWarning)",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "line search" not in proc.stderr
+        assert "other warnings still show" in proc.stderr
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
